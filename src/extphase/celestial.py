@@ -16,7 +16,8 @@ import numpy as np
 from . import numkit
 from .errors import CollisionChartError, DomainEvaluationError
 from .numkit import IntegratorOptions, Trajectory, value_of
-from .phase import HamiltonianSystem
+from .phase import (ExtendedPoint, HamiltonianSystem, _h_gradient,
+                    map_jacobian, symplectic_matrix)
 from .transform import GeneratingFunction
 
 
@@ -95,14 +96,12 @@ def transformed_canonical_rhs(spec: KeplerSpec, xi):
     Returns rhs(tprime, (x, p)) -> (dx/dt', dp/dt').
     """
 
+    sys = spec.system()
+
     def rhs(tp, y):
         w = xi(tp)
-
-        def hp(z):
-            return w * (0.5 * z[1] ** 2 - spec.K2 / z[0])
-
-        _, g = numkit.grad_raw(hp, [y[0], y[1]])
-        return [g[1], -g[0]]
+        _, dHdq, dHdp, _ = _h_gradient(sys, y[:1], y[1:2], tp)
+        return [w * dHdp[0], -w * dHdq[0]]
 
     return rhs
 
@@ -242,7 +241,6 @@ def ks_extended_map(pt_ks, spec: TimeScaleSpec = None):
     q, p = ks_map(u, pu)
     t = numkit.quad_fixed(spec.xi, 0.0, tp)
     e = ep / spec.xi(tp)
-    from .phase import ExtendedPoint
     return ExtendedPoint(q=q, p=p, t=t, e=e, s=pt_ks.s)
 
 
@@ -255,7 +253,6 @@ def ks_symplectic_residual(u, pu, tprime=0.0, spec: TimeScaleSpec = None):
     surface, where the transformation is canonical.  Returns the max
     absolute pairing defect over an orthonormal tangent basis.
     """
-    from .phase import ExtendedPoint, map_jacobian, symplectic_matrix
     if spec is None:
         spec = TimeScaleSpec(xi=lambda t: 1.0, t0=0.0)
     eprime = 0.0

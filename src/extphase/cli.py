@@ -37,12 +37,14 @@ PROG = "extphase"
 _TOLERANCE_KEYS = ("rel_tol", "abs_tol", "max_step", "min_step")
 
 
-def _positive(x):
-    return x > 0
-
-
 def _number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite number; json.loads also turns Infinity and NaN into floats."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _number_list(n):
@@ -363,12 +365,14 @@ def _run_kepler_regularized(params, rng, opts):
     x = traj.column("x")
     v = traj.column("dxdt")
     ident = np.abs(v ** 2 - 2.0 * spec.energy * x ** 2 - 2.0 * spec.K2 * x)
-    crossings = int(np.sum(np.diff(np.sign(x)) != 0))
+    # every minimum of x is a bounce at x = 0: v^2 = 2 x (e x + K^2) vanishes
+    # only there and at the maximum
+    collisions = int(np.sum((v[:-1] < 0) & (v[1:] >= 0)))
     rows = [(traj.s[i], traj.states[i, 0], traj.states[i, 1],
              traj.states[i, 2], traj.states[i, 3])
             for i in range(len(traj.s))]
     metrics = {"energy_identity_max": float(np.max(ident)),
-               "collision_count": float(crossings),
+               "collision_count": float(collisions),
                "x_min": float(np.min(x))}
     return metrics, metrics["energy_identity_max"] <= 1e-8, [
         ("kepler_regularized.csv", ("t'", "x", "dxdt'", "t", "e"), rows)]
@@ -404,7 +408,6 @@ def _run_ks(params, rng, opts):
 
 
 def _run_oscillator(params, rng, opts):
-    from .numkit import sin
     n = params["n"]
     eps = params["eps"]
     fc = params["f"]
@@ -450,7 +453,6 @@ def _run_oscillator(params, rng, opts):
 
 
 def _run_potential(params, rng, opts):
-    from .numkit import sin
     n = params["n"]
     eps = params["eps"]
     spec = tdsystems.PotentialSpec.from_potential(

@@ -11,7 +11,7 @@ implicit solves are obtained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,14 +193,6 @@ def cos(x):
 
 
 _TAG_COUNTER = [0]
-
-
-def _seed(x):
-    m = len(x)
-    _TAG_COUNTER[0] += 1
-    tag = _TAG_COUNTER[0]
-    return [Dual(xi, tuple(1.0 if j == i else 0.0 for j in range(m)), tag)
-            for i, xi in enumerate(x)]
 
 
 def _seed_tagged(x):
@@ -443,10 +435,12 @@ class IntegratorOptions:
     dense_output: bool = True
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not self.min_step < self.max_step:
-            raise ValueError("min_step must be smaller than max_step")
+        # a zero min_step lets a stalling step shrink to 0 and loop forever
+        if not 0 < self.min_step < self.max_step:
+            raise ValueError("min_step must be positive and smaller than "
+                             "max_step")
 
 
 # Dormand-Prince 5(4) tableau (FSAL)
@@ -496,11 +490,8 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
     fs = [k1.copy()]
 
     h = direction * min(opts.max_step, abs(s1 - s0))
-    old_err = np.seterr(over="ignore", invalid="ignore", divide="ignore")
-    try:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _step_loop(f, y, s, s1, h, k1, opts, labels, direction, ss, ys, fs)
-    finally:
-        np.seterr(**old_err)
 
 
 def _step_loop(f, y, s, s1, h, k1, opts, labels, direction, ss, ys, fs):

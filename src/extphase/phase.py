@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numkit
 from .errors import DomainEvaluationError
-from .numkit import IntegratorOptions, Trajectory, value_of
+from .numkit import IntegratorOptions, value_of
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,7 @@ def extended_value(pt, k, sys):
 
 
 def _h_gradient(sys, q, p, t):
+    """H and its partials (dH/dq, dH/dp, dH/dt) at (q, p, t) by dual seeding."""
     n = len(q)
 
     def f(x):

@@ -18,23 +18,34 @@ import numpy as np
 from . import numkit
 from .errors import (CoefficientSingularityError, DomainEvaluationError,
                      UnphysicalMapError)
-from .numkit import IntegratorOptions, Trajectory, exp, sqrt, value_of
-from .phase import ExtendedPoint, HamiltonianSystem
+from .numkit import Dual, IntegratorOptions, exp, sqrt, value_of
+from .phase import ExtendedPoint, HamiltonianSystem, _h_gradient
 
 _Q2_FLOOR = 1e-12
 
 
-def time_derivative(fn, order=1):
-    """Return d^order fn / dt^order as a callable, by repeated dual seeding."""
-    if order == 0:
-        return fn
-    g = time_derivative(fn, order - 1)
+def time_derivatives(fn, t, order):
+    """[fn(t), fn'(t), ..., fn^(order)(t)] from one evaluation of fn.
 
-    def h(t):
-        _, grad = numkit.grad_raw(lambda v: g(v[0]), [t])
-        return grad[0]
-
-    return h
+    t is seeded `order` times, one dual generation per seed, so fn sees
+    t + d1 + ... + d_order with every d_i^2 = 0; the j-th derivative is the
+    coefficient of d1 ... dj.  t may itself be dual.
+    """
+    x, tags = t, []
+    for _ in range(order):
+        (x,), tag = numkit._seed_tagged([x])
+        tags.append(tag)
+    y = fn(x)
+    out = []
+    for j in range(order + 1):
+        c = y
+        for tag in reversed(tags[j:]):
+            if isinstance(c, Dual) and c.tag == tag:
+                c = c.val
+        for tag in reversed(tags[:j]):
+            c = c.eps[0] if isinstance(c, Dual) and c.tag == tag else 0.0
+        out.append(c)
+    return out
 
 
 @dataclass(frozen=True)
@@ -51,13 +62,8 @@ class OscillatorSpec:
 
     def coefficients(self, t):
         """(omega2, d(omega2)/dt, F, f, fdot, fddot) at time t."""
-        w2 = self.omega2(t)
-        dw2 = time_derivative(self.omega2)(t)
-        Fv = self.F(t)
-        f = time_derivative(self.F)(t)
-        fd = time_derivative(self.F, 2)(t)
-        fdd = time_derivative(self.F, 3)(t)
-        return w2, dw2, Fv, f, fd, fdd
+        w2, dw2 = time_derivatives(self.omega2, t, 1)
+        return (w2, dw2, *time_derivatives(self.F, t, 3))
 
     def system(self):
         def H(q, p, t):
@@ -76,6 +82,13 @@ class OscillatorSpec:
             + xs.xi ** 2 * (w2 - 0.5 * fd - 0.25 * f ** 2)
 
 
+def _v_gradient(V, q, t):
+    """(dV/dq_1, ..., dV/dq_n, dV/dt) at (q, t) by dual seeding."""
+    n = len(q)
+    _, g = numkit.grad_raw(lambda v: V(v[:n], v[n]), list(q) + [t])
+    return g
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """H = p^2/2 + V(q, t); gradV and dVdt must be consistent with V."""
@@ -90,22 +103,19 @@ class PotentialSpec:
         """Derive gradV and dVdt from V by dual seeding."""
 
         def gradV(q, t):
-            _, g = numkit.grad_raw(lambda v: V(v[:n], v[n]), list(q) + [t])
-            return tuple(g[:n])
+            return tuple(_v_gradient(V, q, t)[:n])
 
         def dVdt(q, t):
-            _, g = numkit.grad_raw(lambda v: V(v[:n], v[n]), list(q) + [t])
-            return g[n]
+            return _v_gradient(V, q, t)[n]
 
         return PotentialSpec(n=n, V=V, gradV=gradV, dVdt=dVdt)
 
     def consistency_residual(self, q, t):
         """Max disagreement of (gradV, dVdt) with dual derivatives of V."""
-        n = self.n
-        _, g = numkit.grad_raw(lambda v: self.V(v[:n], v[n]), list(q) + [t])
+        g = _v_gradient(self.V, q, t)
         res = max(abs(value_of(a - b))
-                  for a, b in zip(self.gradV(q, t), g[:n]))
-        return max(res, abs(value_of(self.dVdt(q, t) - g[n])))
+                  for a, b in zip(self.gradV(q, t), g[:self.n]))
+        return max(res, abs(value_of(self.dVdt(q, t) - g[self.n])))
 
     def system(self):
         def H(q, p, t):
@@ -136,18 +146,6 @@ class TransferMatrix:
         return float(np.linalg.det(self.Xi))
 
 
-def _h_rhs(sys, t, y):
-    n = sys.n
-
-    def f(x):
-        return sys.H(x[:n], x[n:2 * n], x[2 * n])
-
-    _, g = numkit.grad_raw(f, list(y[:2 * n]) + [t])
-    dq = [g[n + i] for i in range(n)]
-    dp = [-g[i] for i in range(n)]
-    return dq, dp, g[2 * n]
-
-
 def oscillator_propagate(spec: OscillatorSpec, q0, p0, t_span, opts=None):
     """Canonical propagation of the oscillator with e tracked via de/dt = dH/dt."""
     if opts is None:
@@ -159,8 +157,8 @@ def oscillator_propagate(spec: OscillatorSpec, q0, p0, t_span, opts=None):
     e0 = sys.H(tuple(q0), tuple(p0), t_span[0])
 
     def rhs(t, y):
-        dq, dp, dHdt = _h_rhs(sys, t, y)
-        return dq + dp + [dHdt]
+        _, dHdq, dHdp, dHdt = _h_gradient(sys, y[:n], y[n:2 * n], t)
+        return dHdp + [-g for g in dHdq] + [dHdt]
 
     labels = tuple(f"q{i+1}" for i in range(n)) \
         + tuple(f"p{i+1}" for i in range(n)) + ("e",)
@@ -258,12 +256,8 @@ def oscillator_map_function(spec: OscillatorSpec, xi_fn):
     derivatives and the time integral are produced numerically, so the
     returned map can be differentiated for symplecticity checks.
     """
-    xid_fn = time_derivative(xi_fn)
-    xidd_fn = time_derivative(xi_fn, 2)
-
     def mapped(pt):
-        xs = XiState(xi=xi_fn(pt.t), xidot=xid_fn(pt.t),
-                     xiddot=xidd_fn(pt.t))
+        xs = XiState(*time_derivatives(xi_fn, pt.t, 2))
         tp = numkit.quad_fixed(lambda tau: 1.0 / xi_fn(tau), 0.0, pt.t)
         img = oscillator_canonical_map(spec, (pt.q, pt.p, pt.t, pt.e),
                                        xs, tprime=tp)
@@ -287,14 +281,15 @@ def oscillator_coupled_run(spec: OscillatorSpec, q0, p0, xi0: XiState,
     e0 = sys.H(tuple(q0), tuple(p0), t_span[0])
 
     def rhs(t, y):
-        dq, dp, dHdt = _h_rhs(sys, t, y)
+        _, dHdq, dHdp, dHdt = _h_gradient(sys, y[:n], y[n:2 * n], t)
         xs = XiState(xi=y[2 * n + 1], xidot=y[2 * n + 2], xiddot=y[2 * n + 3])
         dxs = xi_oscillator_rhs(spec, t, xs)
         xi = y[2 * n + 1]
         if xi <= 0:
             return [math.nan] * (2 * n + 5)
-        return dq + dp + [dHdt, value_of(dxs.xi), value_of(dxs.xidot),
-                          value_of(dxs.xiddot), 1.0 / xi]
+        return dHdp + [-g for g in dHdq] + [
+            dHdt, value_of(dxs.xi), value_of(dxs.xidot),
+            value_of(dxs.xiddot), 1.0 / xi]
 
     labels = tuple(f"q{i+1}" for i in range(n)) \
         + tuple(f"p{i+1}" for i in range(n)) \
@@ -347,14 +342,14 @@ def transfer_matrix(spec: PotentialSpec, q0, p0, t_span, opts=None):
     e0 = sys.H(tuple(q0), tuple(p0), t_span[0])
 
     def rhs(t, y):
-        dq, dp, dHdt = _h_rhs(sys, t, y)
+        _, dHdq, dHdp, dHdt = _h_gradient(sys, y[:n], y[n:2 * n], t)
         q = tuple(y[:n])
         A = xi_general_rhs(spec, (tuple(value_of(x) for x in q), value_of(t)))
         Xi = np.array([[value_of(y[2 * n + 1 + 3 * r + c])
                         for c in range(3)] for r in range(3)])
         dXi = A @ Xi
-        return dq + dp + [dHdt] + [dXi[r, c] for r in range(3)
-                                   for c in range(3)]
+        return dHdp + [-g for g in dHdq] + [dHdt] \
+            + [dXi[r, c] for r in range(3) for c in range(3)]
 
     labels = tuple(f"q{i+1}" for i in range(n)) \
         + tuple(f"p{i+1}" for i in range(n)) + ("e",) \

@@ -1,10 +1,17 @@
 """Extended canonical transformations via generating functions F1..F4.
 
-A generating function's value callable takes (x, y, a, b, s) with the block
-meaning fixed by its kind:
+A generating function's value callable takes (x, y, a, b, s): two argument
+blocks (x, a) and (y, b), each an n-vector plus a scalar, and the evolution
+parameter s.  Which conjugate pair of the source point and of the image each
+block holds is fixed by the kind, and `_LAYOUT` is the single statement of
+it:
 
     F1: (q, q', t, t', s)        F2: (q, p', t, e', s)
     F3: (q', p, t', e, s)        F4: (p, p', e, e', s)
+
+One rule set serves all four kinds: dF/d(q, t) = (p, -e) and
+dF/d(p, e) = (-q, t) for the unprimed pair, and the same with a minus sign
+for the primed pair.
 
 All value callables must use the generic arithmetic of
 :mod:`extphase.numkit` so the implicit transformation rules can be solved
@@ -23,7 +30,16 @@ from .errors import DegeneracyError, DegenerateTimeError
 from .numkit import value_of
 from .phase import ExtendedPoint, map_jacobian
 
-KINDS = ("F1", "F2", "F3", "F4")
+# kind -> (unprimed pair, primed pair, whether the unprimed pair fills the
+# first argument block (x, a)); "qt" is the (q.., t) pair, "pe" the (p.., e)
+_LAYOUT = {
+    "F1": ("qt", "qt", True),
+    "F2": ("qt", "pe", True),
+    "F3": ("pe", "qt", False),
+    "F4": ("pe", "pe", True),
+}
+_PARTNER = {"qt": "pe", "pe": "qt"}
+KINDS = tuple(_LAYOUT)
 
 
 @dataclass(frozen=True)
@@ -67,79 +83,73 @@ class TransformReport:
         }, sort_keys=True)
 
 
-def _partials(F, x, y, a, b, s):
-    """Value and first partials of F with respect to all five argument blocks."""
-    n = F.n
-    v0 = list(x) + list(y) + [a, b, s]
+def _pair(pt, name):
+    """The (q.., t) or (p.., e) block of pt as one list."""
+    if name == "qt":
+        return list(pt.q) + [pt.t]
+    return list(pt.p) + [pt.e]
+
+
+def _point(name, vals, partner, s):
+    """The point whose `name` pair is vals and whose other pair is partner."""
+    n = len(vals) - 1
+    if name == "pe":
+        vals, partner = partner, vals
+    return ExtendedPoint(q=tuple(vals[:n]), p=tuple(partner[:n]), t=vals[n],
+                         e=partner[n], s=s)
+
+
+def _flip(name, partner):
+    """The momenta conjugate to pair `name`, from the values of its partner:
+    (p, e) -> (p, -e) for "qt", (q, t) -> (-q, t) for "pe".  An involution."""
+    n = len(partner) - 1
+    if name == "qt":
+        return partner[:n] + [-partner[n]]
+    return [-v for v in partner[:n]] + [partner[n]]
+
+
+def _blocks(first, unprimed, primed):
+    """Argument blocks (x, y, a, b) of a value call from the two pairs."""
+    xa, yb = (unprimed, primed) if first else (primed, unprimed)
+    return xa[:-1], yb[:-1], xa[-1], yb[-1]
+
+
+def _pair_gradient(F, first, unprimed, primed, s, wrt_primed):
+    """dF/d(primed pair) or dF/d(unprimed pair), seeding only that pair."""
 
     def f(v):
-        return F.value(v[:n], v[n:2 * n], v[2 * n], v[2 * n + 1], v[2 * n + 2])
+        if wrt_primed:
+            return F.value(*_blocks(first, unprimed, v), s)
+        return F.value(*_blocks(first, v, primed), s)
 
-    val, g = numkit.grad_raw(f, v0)
-    return val, g[:n], g[n:2 * n], g[2 * n], g[2 * n + 1], g[2 * n + 2]
+    return numkit.grad_raw(f, primed if wrt_primed else unprimed)[1]
 
 
 def _apply(F, pt, seed=None, max_iter=50):
     """Solve the rule set of F's kind at pt.
 
+    The unknowns are the image's primed pair, fixed by dF/d(unprimed) =
+    the momenta conjugate to the point's unprimed pair; the momenta
+    conjugate to the image's primed pair are then -dF/d(primed).
     Returns (image point, resolved argument blocks (x, y, a, b)).
     """
     n = pt.n
     if n != F.n:
         raise ValueError(f"dimension mismatch: point has n={n}, F has n={F.n}")
-    kind = F.kind
+    unprimed, primed, first = _LAYOUT[F.kind]
     s = pt.s
-    q, p, t, e = list(pt.q), list(pt.p), pt.t, pt.e
+    known = _pair(pt, unprimed)
+    target = _flip(unprimed, _pair(pt, _PARTNER[unprimed]))
 
-    if kind in ("F1", "F2"):
-        known_x, known_a = q, t
-    else:  # F3, F4: the unprimed block enters through (p, e)
-        known_x, known_a = None, None
+    def residual(u):
+        dU = _pair_gradient(F, first, known, u, s, wrt_primed=False)
+        return [g - w for g, w in zip(dU, target)]
 
-    if kind == "F2":
-        # unknowns (p', e'): p_i = dF/dq_i, e = -dF/dt
-        def residual(u):
-            _, dx, _, da, _, _ = _partials(F, q, u[:n], t, u[n], s)
-            return [dx[i] - p[i] for i in range(n)] + [da + e]
-        u0 = seed if seed is not None else p + [e]
-        u = numkit.newton_solve(residual, u0, max_iter=max_iter)
-        _, _, dy, _, db, _ = _partials(F, q, u[:n], t, u[n], s)
-        x_args, y_args, a_arg, b_arg = q, u[:n], t, u[n]
-        image = ExtendedPoint(q=tuple(dy), p=tuple(u[:n]), t=-db, e=u[n], s=s)
-    elif kind == "F1":
-        # unknowns (q', t'): p_i = dF/dq_i, e = -dF/dt
-        def residual(u):
-            _, dx, _, da, _, _ = _partials(F, q, u[:n], t, u[n], s)
-            return [dx[i] - p[i] for i in range(n)] + [da + e]
-        u0 = seed if seed is not None else q + [t]
-        u = numkit.newton_solve(residual, u0, max_iter=max_iter)
-        _, _, dy, _, db, _ = _partials(F, q, u[:n], t, u[n], s)
-        x_args, y_args, a_arg, b_arg = q, u[:n], t, u[n]
-        image = ExtendedPoint(q=tuple(u[:n]), p=tuple(-g for g in dy),
-                              t=u[n], e=db, s=s)
-    elif kind == "F3":
-        # unknowns (q', t'): q_i = -dF/dp_i, t = dF/de
-        def residual(u):
-            _, _, dy, _, db, _ = _partials(F, u[:n], p, u[n], e, s)
-            return [dy[i] + q[i] for i in range(n)] + [db - t]
-        u0 = seed if seed is not None else q + [t]
-        u = numkit.newton_solve(residual, u0, max_iter=max_iter)
-        _, dx, _, da, _, _ = _partials(F, u[:n], p, u[n], e, s)
-        x_args, y_args, a_arg, b_arg = u[:n], p, u[n], e
-        image = ExtendedPoint(q=tuple(u[:n]), p=tuple(-g for g in dx),
-                              t=u[n], e=da, s=s)
-    else:  # F4
-        # unknowns (p', e'): q_i = -dF/dp_i, t = dF/de
-        def residual(u):
-            _, dx, _, da, _, _ = _partials(F, p, u[:n], e, u[n], s)
-            return [dx[i] + q[i] for i in range(n)] + [da - t]
-        u0 = seed if seed is not None else p + [e]
-        u = numkit.newton_solve(residual, u0, max_iter=max_iter)
-        _, _, dy, _, db, _ = _partials(F, p, u[:n], e, u[n], s)
-        x_args, y_args, a_arg, b_arg = p, u[:n], e, u[n]
-        image = ExtendedPoint(q=tuple(dy), p=tuple(u[:n]), t=-db, e=u[n], s=s)
-
-    return image, (x_args, y_args, a_arg, b_arg)
+    u0 = seed if seed is not None else _pair(pt, primed)
+    u = numkit.newton_solve(residual, u0, max_iter=max_iter)
+    dP = _pair_gradient(F, first, known, u, s, wrt_primed=True)
+    image = _point(primed, u, _flip(primed, [-g for g in dP]), s)
+    return image, _blocks(first, known, u)
 
 
 def apply_generating(F, pt, seed=None):
@@ -183,31 +193,24 @@ def hessian_det(F, pt):
     The unresolved argument block is probed at the point's own (p, e) or
     (q, t) values; nonzero certifies local invertibility of the induced map.
     """
-    n = pt.n
-    q, p, t, e = list(pt.q), list(pt.p), pt.t, pt.e
-    if F.kind == "F1":
-        args = (q, q, t, t)
-    elif F.kind == "F2":
-        args = (q, p, t, e)
-    elif F.kind == "F3":
-        args = (q, p, t, e)
-    else:
-        args = (p, p, e, e)
+    unprimed, primed, first = _LAYOUT[F.kind]
+    args = _blocks(first, _pair(pt, unprimed), _pair(pt, primed))
     return _mixed_hessian_det(F, *args, pt.s)
 
 
-# algebraic offset of each kind's value relative to the F1 form
-def _extra(kind, config):
-    q, p, t, e, qp, pp, tp, ep = config
-    spp = sum(a * b for a, b in zip(qp, pp)) - tp * ep
-    sup = sum(a * b for a, b in zip(q, p)) - t * e
-    if kind == "F1":
-        return 0.0
-    if kind == "F2":
-        return spp
-    if kind == "F3":
-        return -sup
-    return spp - sup
+# algebraic offset of each kind's value relative to the F1 form: a primed
+# (p, e) pair adds q'.p' - t'e', an unprimed one subtracts q.p - t e
+def _extra(kind, src, img):
+    def qp_minus_te(pt):
+        return sum(a * b for a, b in zip(pt.q, pt.p)) - pt.t * pt.e
+
+    unprimed, primed, _ = _LAYOUT[kind]
+    extra = 0.0
+    if primed == "pe":
+        extra = qp_minus_te(img)
+    if unprimed == "pe":
+        extra = extra - qp_minus_te(src)
+    return extra
 
 
 def legendre_convert(F, target_kind, seed=None):
@@ -224,53 +227,26 @@ def legendre_convert(F, target_kind, seed=None):
     if target_kind == F.kind:
         return F
     n = F.n
+    unprimed, primed, first = _LAYOUT[target_kind]
 
     def converted(x, y, a, b, s):
-        # decode the target argument blocks
-        if target_kind == "F1":
-            q_kn, t_kn = list(x), a
-            primed = (list(y), b)      # (q', t')
-            primed_sel = "qt"
-            unknown = "pe"
-        elif target_kind == "F2":
-            q_kn, t_kn = list(x), a
-            primed = (list(y), b)      # (p', e')
-            primed_sel = "pe"
-            unknown = "pe"
-        elif target_kind == "F3":
-            p_kn, e_kn = list(y), b
-            primed = (list(x), a)      # (q', t')
-            primed_sel = "qt"
-            unknown = "qt"
-        else:  # F4
-            p_kn, e_kn = list(x), a
-            primed = (list(y), b)      # (p', e')
-            primed_sel = "pe"
-            unknown = "qt"
+        # the target's unprimed pair is known; its partner is the unknown
+        xa, yb = list(x) + [a], list(y) + [b]
+        known, want = (xa, yb) if first else (yb, xa)
 
-        def assemble(u):
-            if unknown == "pe":
-                return q_kn, list(u[:n]), t_kn, u[n]
-            return list(u[:n]), p_kn, u[n], e_kn
+        def source(u):
+            return _point(unprimed, known, u, s)
 
         def residual(u):
-            q_, p_, t_, e_ = assemble(u)
-            img, _ = _apply(F, ExtendedPoint(q=tuple(q_), p=tuple(p_),
-                                             t=t_, e=e_, s=s))
-            if primed_sel == "qt":
-                got = list(img.q) + [img.t]
-            else:
-                got = list(img.p) + [img.e]
-            return [gi - wi for gi, wi in zip(got, primed[0] + [primed[1]])]
+            img, _ = _apply(F, source(u))
+            return [g - w for g, w in zip(_pair(img, primed), want)]
 
-        u0 = seed if seed is not None else primed[0] + [primed[1]]
-        u = numkit.newton_solve(residual, list(u0))
-        q_, p_, t_, e_ = assemble(u)
-        img, src_args = _apply(F, ExtendedPoint(q=tuple(q_), p=tuple(p_),
-                                                t=t_, e=e_, s=s))
-        config = (q_, p_, t_, e_, list(img.q), list(img.p), img.t, img.e)
+        u0 = seed if seed is not None else want
+        src = source(numkit.newton_solve(residual, list(u0)))
+        img, src_args = _apply(F, src)
         src_val = F.value(*src_args, s)
-        return src_val - _extra(F.kind, config) + _extra(target_kind, config)
+        return src_val - _extra(F.kind, src, img) \
+            + _extra(target_kind, src, img)
 
     return GeneratingFunction(kind=target_kind, value=converted, n=n)
 
@@ -327,7 +303,7 @@ def restriction_report(F, pt, tol=1e-10):
 
     image, args = _apply(F, pt)
     hdet = _mixed_hessian_det(F, *args, pt.s)
-    _, _, _, _, _, dFds = _partials(F, *args, pt.s)
+    _, (dFds,) = numkit.grad_raw(lambda v: F.value(*args, v[0]), [pt.s])
     preserves = abs(value_of(dFds)) <= tol
     return TransformReport(
         hessian_det=float(hdet),

@@ -1,6 +1,7 @@
 """Config validation, scenario runners, exit codes, deterministic outputs."""
 
 import json
+import math
 import os
 
 import pytest
@@ -158,3 +159,51 @@ def test_kepler_direct_reports_stall(tmp_path):
     assert report.passed
     assert report.metrics["stalled"] == 1.0
     assert (tmp_path / "report.json").exists()
+
+
+def test_validate_rejects_non_finite_numbers():
+    # validation only: at least t_end = inf would never finish running
+    for obj in ({"scenario": "kepler-direct", "params": {"t_end": math.inf}},
+                {"scenario": "oscillator", "params": {"eps": math.nan}},
+                {"scenario": "potential", "params": {"q0": [math.nan]}},
+                {"scenario": "lorentz", "tolerances": {"rel_tol": math.nan}},
+                {"scenario": "lorentz", "tolerances": {"max_step": math.inf}},
+                # finite, but no float can hold it
+                {"scenario": "kepler-direct", "params": {"t_end": 10 ** 400}},
+                # not non-finite, but it hangs a stalling run the same way
+                {"scenario": "kepler-direct",
+                 "tolerances": {"min_step": 0}}):
+        config, errors = validate(obj)
+        assert config is None and errors, obj
+
+
+def test_cli_validate_non_finite_exits_2(tmp_path, capsys):
+    for text in ('{"scenario": "kepler-direct", "params": {"t_end": Infinity}}',
+                 '{"scenario": "oscillator", "params": {"eps": NaN}}',
+                 '{"scenario": "lorentz", "tolerances": {"rel_tol": NaN}}'):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+
+
+def test_kepler_regularized_counts_collisions(tmp_path):
+    # the default orbit starts at its maximum x0 = 2 and bounces off x = 0
+    # once, at t' = pi
+    cfg, errors = validate({"scenario": "kepler-regularized"})
+    assert not errors
+    cfg.output_dir = str(tmp_path / "default")
+    report = run(cfg)
+    assert report.passed
+    assert report.metrics["collision_count"] == 1.0
+    # three fictitious periods 2 pi / omega, omega^2 = -2 e0, three bounces
+    K2, x0, p0 = 1.0, 1.0, 0.5
+    omega = math.sqrt(-2.0 * (0.5 * p0 ** 2 - K2 / x0))
+    cfg, errors = validate({"scenario": "kepler-regularized",
+                            "params": {"K2": K2, "x0": x0, "p0": p0,
+                                       "tprime_end": 6.0 * math.pi / omega}})
+    assert not errors
+    cfg.output_dir = str(tmp_path / "three")
+    report = run(cfg)
+    assert report.passed
+    assert report.metrics["collision_count"] == 3.0

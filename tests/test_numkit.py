@@ -200,3 +200,12 @@ def test_integrator_options_validation():
         IntegratorOptions(rel_tol=0.0)
     with pytest.raises(ValueError):
         IntegratorOptions(min_step=1.0, max_step=0.5)
+
+
+def test_integrator_options_reject_nan_and_zero_min_step():
+    for key in ("rel_tol", "abs_tol", "min_step", "max_step"):
+        with pytest.raises(ValueError):
+            IntegratorOptions(**{key: math.nan})
+    for min_step in (0.0, -1e-12):
+        with pytest.raises(ValueError):
+            IntegratorOptions(min_step=min_step)

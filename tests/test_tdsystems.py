@@ -12,7 +12,7 @@ from extphase.tdsystems import (OscillatorSpec, PotentialSpec, TransferMatrix,
                                 XiState, angular_invariants, invariant_triple,
                                 leach_invariant, oscillator_canonical_map,
                                 oscillator_coupled_run, oscillator_map_function,
-                                oscillator_propagate, time_derivative,
+                                oscillator_propagate, time_derivatives,
                                 transfer_matrix, xi_general_rhs,
                                 xi_oscillator_rhs, xi_positivity_residual)
 
@@ -29,10 +29,10 @@ def constant(n=1):
 
 def test_time_derivative():
     from extphase.numkit import sin
-    d2 = time_derivative(lambda t: sin(t), 2)
-    assert value_of(d2(0.6)) == pytest.approx(-math.sin(0.6), abs=1e-12)
-    d0 = time_derivative(lambda t: sin(t), 0)
-    assert value_of(d0(0.6)) == pytest.approx(math.sin(0.6), abs=1e-15)
+    d2 = time_derivatives(lambda t: sin(t), 0.6, 2)[2]
+    assert value_of(d2) == pytest.approx(-math.sin(0.6), abs=1e-12)
+    d0 = time_derivatives(lambda t: sin(t), 0.6, 0)[0]
+    assert value_of(d0) == pytest.approx(math.sin(0.6), abs=1e-15)
 
 
 def test_coefficients_by_dual_seeding():
@@ -150,9 +150,9 @@ def test_mapped_image_solves_autonomous_oscillator():
     q0, p0, t0 = 0.9, -0.5, 0.4
     e0 = 0.5 * p0 ** 2 + 0.5 * q0 ** 2
     img = mapped(ExtendedPoint(q=(q0,), p=(p0,), t=t0, e=e0))
-    xs = XiState(xi=value_of(xi_fn(t0)),
-                 xidot=value_of(time_derivative(xi_fn)(t0)),
-                 xiddot=value_of(time_derivative(xi_fn, 2)(t0)))
+    xi, xid, xidd = time_derivatives(xi_fn, t0, 2)
+    xs = XiState(xi=value_of(xi), xidot=value_of(xid),
+                 xiddot=value_of(xidd))
     w02 = value_of(spec.omega0_squared(xs, t0))
     got = 0.5 * value_of(img.p[0]) ** 2 \
         + 0.5 * w02 * value_of(img.q[0]) ** 2

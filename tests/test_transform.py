@@ -173,3 +173,37 @@ def test_liouville_det_unity_for_nonlinear_map():
     M = map_jacobian(lambda z: apply_generating(F, z), PT)
     assert abs(abs(np.linalg.det(M)) - 1.0) < 1e-10
     assert symplectic_residual(lambda z: apply_generating(F, z), PT) < 1e-10
+
+
+def swap_f4(n=2):
+    """F4 = -p.p' + e e', inducing (q', p', t', e') = (-p, q, -e, t)."""
+
+    def value(p, pp, e, ep, s):
+        return -sum(a * b for a, b in zip(p, pp)) + e * ep
+
+    return GeneratingFunction(kind="F4", value=value, n=n)
+
+
+def test_f4_swap_rules():
+    F = swap_f4()
+    pt = ExtendedPoint(q=(1.3, -0.2), p=(-0.7, 0.5), t=0.4, e=0.9)
+    img = apply_generating(F, pt)
+    assert [value_of(v) for v in img.q] == pytest.approx([0.7, -0.5],
+                                                         abs=1e-12)
+    assert [value_of(v) for v in img.p] == pytest.approx([1.3, -0.2],
+                                                         abs=1e-12)
+    assert value_of(img.t) == pytest.approx(-0.9, abs=1e-12)
+    assert value_of(img.e) == pytest.approx(0.4, abs=1e-12)
+    assert hessian_det(F, pt) == pytest.approx(1.0, abs=1e-12)
+    assert symplectic_residual(lambda z: apply_generating(F, z), pt) < 1e-12
+
+
+def test_legendre_convert_f4_to_f1_same_map():
+    # (q', t') = (-p, -e) are independent of (q, t), so the swap has an F1
+    F = swap_f4(n=1)
+    G = legendre_convert(F, "F1")
+    img_f = apply_generating(F, PT)
+    img_g = apply_generating(G, PT)
+    for a, b in ((img_f.q[0], img_g.q[0]), (img_f.p[0], img_g.p[0]),
+                 (img_f.t, img_g.t), (img_f.e, img_g.e)):
+        assert value_of(b) == pytest.approx(value_of(a), abs=1e-10)
