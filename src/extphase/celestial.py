@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import CollisionChartError, DomainEvaluationError
+from .errors import (CollisionChartError, DomainEvaluationError,
+                     IntegrationStallError)
 from .numkit import IntegratorOptions, Trajectory, value_of
 from .phase import (ExtendedPoint, HamiltonianSystem, _h_gradient,
                     map_jacobian, symplectic_matrix)
@@ -106,12 +107,27 @@ def transformed_canonical_rhs(spec: KeplerSpec, xi):
     return rhs
 
 
+def _with_energy(spec: KeplerSpec, base: Trajectory) -> Trajectory:
+    """Extend (x, p) samples to columns (x, p, e), e recomputed pointwise."""
+    xs, ps = base.states[:, 0], base.states[:, 1]
+    es = 0.5 * ps ** 2 - spec.K2 / xs
+    states = np.column_stack([xs, ps, es])
+    derivs = None
+    if base.derivs is not None:
+        dx, dp = base.derivs[:, 0], base.derivs[:, 1]
+        de = ps * dp + spec.K2 / xs ** 2 * dx
+        derivs = np.column_stack([dx, dp, de])
+    return Trajectory(s=base.s, states=states, labels=("x", "p", "e"),
+                      derivs=derivs)
+
+
 def kepler_direct(spec: KeplerSpec, t_span, opts=None) -> Trajectory:
     """Integrate d^2x/dt^2 = -K^2/x^2 in physical time.
 
     The trajectory carries columns (x, p, e) with e recomputed pointwise.
     Bound orbits reach the collision x = 0 in finite time, where the
-    integrator stalls by design (IntegrationStallError).
+    integrator stalls by design: the IntegrationStallError then carries the
+    samples up to the stall, with the same columns.
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -123,18 +139,13 @@ def kepler_direct(spec: KeplerSpec, t_span, opts=None) -> Trajectory:
             return [math.nan, math.nan]
         return [p, -spec.K2 / x ** 2]
 
-    base = numkit.integrate(rhs, [spec.x0, spec.p0], t_span[0], t_span[1],
-                            opts, labels=("x", "p"))
-    xs, ps = base.states[:, 0], base.states[:, 1]
-    es = 0.5 * ps ** 2 - spec.K2 / xs
-    states = np.column_stack([xs, ps, es])
-    derivs = None
-    if base.derivs is not None:
-        dx, dp = base.derivs[:, 0], base.derivs[:, 1]
-        de = ps * dp + spec.K2 / xs ** 2 * dx
-        derivs = np.column_stack([dx, dp, de])
-    return Trajectory(s=base.s, states=states, labels=("x", "p", "e"),
-                      derivs=derivs)
+    try:
+        base = numkit.integrate(rhs, [spec.x0, spec.p0], t_span[0], t_span[1],
+                                opts, labels=("x", "p"))
+    except IntegrationStallError as exc:
+        exc.trajectory = _with_energy(spec, exc.trajectory)
+        raise
+    return _with_energy(spec, base)
 
 
 def kepler_regularized(spec: KeplerSpec, tprime_span, opts=None) -> Trajectory:

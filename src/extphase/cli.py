@@ -47,6 +47,19 @@ def _number(x):
         return False
 
 
+# Upper bounds that limit the work of a run: it takes at least
+# horizon / max_step steps, and n and the probe counts multiply the work.
+MAX_HORIZON, MAX_COUNT, MAX_DIMENSION = 1e4, 10 ** 5, 100
+
+
+def _horizon(v):
+    return _number(v) and 0 < v <= MAX_HORIZON
+
+
+def _count(v, limit=MAX_COUNT):
+    return isinstance(v, int) and not isinstance(v, bool) and 0 < v <= limit
+
+
 def _number_list(n):
     def check(x):
         return (isinstance(x, list) and len(x) == n
@@ -61,50 +74,45 @@ SCHEMAS = {
         "beta_y": (0.0, lambda v: _number(v), "y component of v/c"),
         "beta_z": (0.0, lambda v: _number(v), "z component of v/c"),
         "c": (1.0, lambda v: _number(v) and v > 0, "speed of light"),
-        "count": (10, lambda v: isinstance(v, int) and v > 0,
-                  "number of random probe points"),
+        "count": (10, _count, "number of random probe points"),
     },
     "kepler-direct": {
         "K2": (1.0, lambda v: _number(v) and v > 0, "gravitational parameter"),
         "x0": (1.0, lambda v: _number(v) and v > 0, "initial separation"),
         "p0": (0.0, _number, "initial momentum"),
-        "t_end": (3.0, lambda v: _number(v) and v > 0, "physical-time horizon"),
+        "t_end": (3.0, _horizon, "physical-time horizon"),
     },
     "kepler-regularized": {
         "K2": (1.0, lambda v: _number(v) and v > 0, "gravitational parameter"),
         "x0": (2.0, lambda v: _number(v) and v > 0, "initial separation"),
         "p0": (0.0, _number, "initial momentum"),
-        "tprime_end": (2.0 * math.pi, lambda v: _number(v) and v > 0,
-                       "fictitious-time horizon"),
+        "tprime_end": (2.0 * math.pi, _horizon, "fictitious-time horizon"),
     },
     "ks": {
-        "count": (100, lambda v: isinstance(v, int) and v > 0,
-                  "random points for the radial identity"),
-        "count_symplectic": (5, lambda v: isinstance(v, int) and v > 0,
+        "count": (100, _count, "random points for the radial identity"),
+        "count_symplectic": (5, _count,
                              "random points for the canonicity check"),
     },
     "oscillator": {
-        "n": (2, lambda v: isinstance(v, int) and v >= 1, "dimension"),
+        "n": (2, lambda v: _count(v, MAX_DIMENSION), "dimension"),
         "eps": (0.1, _number, "frequency modulation: omega^2 = 1 + eps sin t"),
         "f": (0.05, _number, "constant damping coefficient (F = f t)"),
-        "t_end": (50.0, lambda v: _number(v) and v > 0, "time horizon"),
+        "t_end": (50.0, _horizon, "time horizon"),
         "q0": (None, None, "initial coordinates (list, length n)"),
         "p0": (None, None, "initial momenta (list, length n)"),
     },
     "potential": {
-        "n": (1, lambda v: isinstance(v, int) and v >= 1, "dimension"),
+        "n": (1, lambda v: _count(v, MAX_DIMENSION), "dimension"),
         "eps": (0.1, _number, "potential modulation: V = (1+eps sin t) q^2/2"),
-        "t_end": (30.0, lambda v: _number(v) and v > 0, "time horizon"),
+        "t_end": (30.0, _horizon, "time horizon"),
         "q0": (None, None, "initial coordinates (list, length n)"),
         "p0": (None, None, "initial momenta (list, length n)"),
     },
     "lagrangian-check": {
-        "count": (25, lambda v: isinstance(v, int) and v > 0,
-                  "random probe points"),
+        "count": (25, _count, "random probe points"),
     },
     "bracket-suite": {
-        "count": (100, lambda v: isinstance(v, int) and v > 0,
-                  "random points per Hamiltonian"),
+        "count": (100, _count, "random points per Hamiltonian"),
     },
 }
 
@@ -339,18 +347,17 @@ def _run_kepler_direct(params, rng, opts):
     stall_time = math.nan
     try:
         traj = celestial.kepler_direct(spec, (0.0, params["t_end"]), opts)
-        ss, states = traj.s, traj.states
     except IntegrationStallError as exc:
         stalled = 1.0
         stall_time = exc.s_last
-        # re-run up to just before the stall to collect the clean part
-        traj = celestial.kepler_direct(spec, (0.0, 0.98 * exc.s_last), opts)
-        ss, states = traj.s, traj.states
-    mask = states[:, 0] > 0.05
-    drift = float(np.max(np.abs(states[mask, 2] - spec.energy))) \
+        traj = exc.trajectory
+    rows = np.column_stack((traj.s, traj.states))
+    if stalled:
+        # keep the clean part, short of the steps that shrink into the stall
+        rows = rows[traj.s <= 0.98 * stall_time]
+    mask = rows[:, 1] > 0.05
+    drift = float(np.max(np.abs(rows[mask, 3] - spec.energy))) \
         if np.any(mask) else 0.0
-    rows = [(ss[i], states[i, 0], states[i, 1], states[i, 2])
-            for i in range(len(ss))]
     metrics = {"energy_drift_max": drift, "stalled": stalled,
                "stall_time": stall_time}
     return metrics, drift <= 1e-9, [
@@ -368,9 +375,7 @@ def _run_kepler_regularized(params, rng, opts):
     # every minimum of x is a bounce at x = 0: v^2 = 2 x (e x + K^2) vanishes
     # only there and at the maximum
     collisions = int(np.sum((v[:-1] < 0) & (v[1:] >= 0)))
-    rows = [(traj.s[i], traj.states[i, 0], traj.states[i, 1],
-             traj.states[i, 2], traj.states[i, 3])
-            for i in range(len(traj.s))]
+    rows = np.column_stack((traj.s, traj.states))
     metrics = {"energy_identity_max": float(np.max(ident)),
                "collision_count": float(collisions),
                "x_min": float(np.min(x))}
@@ -442,8 +447,7 @@ def _run_oscillator(params, rng, opts):
                 tdsystems.angular_invariants(q, p) - I0))))
         pos_max = max(pos_max, tdsystems.xi_positivity_residual(
             spec, (q, p, t, e), xs))
-    rows = [tuple([traj.s[i]] + list(traj.states[i]))
-            for i in range(len(traj.s))]
+    rows = np.column_stack((traj.s, traj.states))
     header = ("t",) + traj.labels
     metrics = {"max_invariant_drift": drift,
                "angular_invariant_drift_max": ang_drift,

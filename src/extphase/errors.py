@@ -12,14 +12,23 @@ class DomainEvaluationError(ExtphaseError):
 class IntegrationStallError(ExtphaseError):
     """The adaptive integrator underflowed its minimum step size.
 
-    Carries the last good sample so callers can inspect how far the
-    integration got before stalling (e.g. a Kepler collision).
+    Carries the trajectory of the samples taken before the stall, so callers
+    can use how far the integration got (e.g. up to a Kepler collision)
+    without integrating again; ``s_last`` and ``state_last`` read its last
+    sample.
     """
 
-    def __init__(self, message, s_last, state_last):
+    def __init__(self, message, trajectory):
         super().__init__(message)
-        self.s_last = s_last
-        self.state_last = state_last
+        self.trajectory = trajectory
+
+    @property
+    def s_last(self):
+        return float(self.trajectory.s[-1])
+
+    @property
+    def state_last(self):
+        return self.trajectory.states[-1]
 
 
 class ImplicitSolveError(ExtphaseError):

@@ -375,22 +375,21 @@ class Trajectory:
     def column(self, label):
         return self.states[:, self.labels.index(label)]
 
-    def _bracket(self, s):
+    def _segment(self, s):
+        """The Hermite segment around s: its length h, u = (s - s0) / h, and
+        the states and derivatives at both ends."""
+        if self.derivs is None:
+            raise ValueError("trajectory was recorded without dense output")
         sig = 1.0 if self.s[-1] >= self.s[0] else -1.0
-        grid = sig * self.s
-        i = int(np.searchsorted(grid, sig * s))
-        return min(max(i, 1), len(self.s) - 1)
+        i = int(np.searchsorted(sig * self.s, sig * s))
+        i = min(max(i, 1), len(self.s) - 1)
+        h = self.s[i] - self.s[i - 1]
+        return (h, (s - self.s[i - 1]) / h, self.states[i - 1], self.states[i],
+                self.derivs[i - 1], self.derivs[i])
 
     def interpolate(self, s):
         """Cubic Hermite interpolation of the state at parameter value s."""
-        if self.derivs is None:
-            raise ValueError("trajectory was recorded without dense output")
-        i = self._bracket(s)
-        s0, s1 = self.s[i - 1], self.s[i]
-        h = s1 - s0
-        u = (s - s0) / h
-        y0, y1 = self.states[i - 1], self.states[i]
-        f0, f1 = self.derivs[i - 1], self.derivs[i]
+        h, u, y0, y1, f0, f1 = self._segment(s)
         h00 = (1 + 2 * u) * (1 - u) ** 2
         h10 = u * (1 - u) ** 2
         h01 = u * u * (3 - 2 * u)
@@ -399,14 +398,7 @@ class Trajectory:
 
     def derivative(self, s):
         """Exact derivative of the cubic Hermite interpolant at s."""
-        if self.derivs is None:
-            raise ValueError("trajectory was recorded without dense output")
-        i = self._bracket(s)
-        s0, s1 = self.s[i - 1], self.s[i]
-        h = s1 - s0
-        u = (s - s0) / h
-        y0, y1 = self.states[i - 1], self.states[i]
-        f0, f1 = self.derivs[i - 1], self.derivs[i]
+        h, u, y0, y1, f0, f1 = self._segment(s)
         dh00 = 6 * u * (u - 1) / h
         dh10 = (1 - u) * (1 - 3 * u)
         dh01 = -6 * u * (u - 1) / h
@@ -443,102 +435,84 @@ class IntegratorOptions:
                              "max_step")
 
 
-# Dormand-Prince 5(4) tableau (FSAL)
+# Dormand-Prince 5(4) tableau (FSAL): stage i reads row i of _A, and the last
+# row is the 5th-order solution, so stage 7 is evaluated at y5
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
+# local error estimate y5 - y4 = h * (_E @ K), free of the cancellation
+_E = _A[6] - _B4
 
 
 def integrate(rhs, y0, s0, s1, opts=None, labels=None):
     """Adaptive Dormand-Prince 5(4) integration of y' = rhs(s, y) from s0 to s1.
 
     Backward spans (s1 < s0) are allowed.  The final sample lands exactly on
-    s1.  Step underflow below ``opts.min_step`` raises
-    :class:`IntegrationStallError` carrying the last good sample.
+    s1.  A step with a non-finite stage is rejected and shrunk at once.
+    ``opts.min_step`` is a floor on every step, accepted or rejected: once
+    the next step is shorter than it, or too short to move s at all, the
+    integration raises :class:`IntegrationStallError` carrying the
+    :class:`Trajectory` of the samples taken so far.
     """
     if opts is None:
         opts = IntegratorOptions()
     if s1 == s0:
         raise ValueError("empty integration span")
     y = np.array(y0, dtype=float)
-    m = len(y)
     if labels is None:
-        labels = tuple(f"y{i}" for i in range(m))
+        labels = tuple(f"y{i}" for i in range(len(y)))
     direction = 1.0 if s1 > s0 else -1.0
     s = float(s0)
-
-    def f(si, yi):
-        out = np.asarray(rhs(si, yi), dtype=float)
-        return out
-
-    k1 = f(s, y)
-    if not np.all(np.isfinite(k1)):
+    K = np.empty((7, len(y)))
+    K[0] = rhs(s, y)
+    if not np.all(np.isfinite(K[0])):
         raise DomainEvaluationError("right-hand side not finite at initial state")
 
-    ss = [s]
-    ys = [y.copy()]
-    fs = [k1.copy()]
-
+    ss, ys, fs = [s], [y], [K[0].copy()]
     h = direction * min(opts.max_step, abs(s1 - s0))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _step_loop(f, y, s, s1, h, k1, opts, labels, direction, ss, ys, fs)
-
-
-def _step_loop(f, y, s, s1, h, k1, opts, labels, direction, ss, ys, fs):
-    while (s1 - s) * direction > 0:
-        if abs(h) > abs(s1 - s):
-            h = s1 - s
-        k = [k1]
-        failed = False
-        for i in range(1, 7):
-            yi = y + h * sum(a * ki for a, ki in zip(_A[i], k))
-            ki = f(s + _C[i] * h, yi)
-            if not np.all(np.isfinite(ki)):
-                failed = True
+        while (s1 - s) * direction > 0:
+            if abs(h) > abs(s1 - s):
+                h = s1 - s
+            err = math.inf
+            for i in range(1, 7):
+                yi = y + h * (_A[i, :i] @ K[:i])
+                K[i] = rhs(s + _C[i] * h, yi)
+                # no later stage may be evaluated at a non-finite state
+                if not np.all(np.isfinite(K[i])):
+                    break
+            else:
+                scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y),
+                                                                 np.abs(yi))
+                err = math.sqrt(float(np.mean((h * (_E @ K) / scale) ** 2)))
+            if err <= 1.0:
+                s = float(s1) if abs(s1 - (s + h)) < 1e-14 * max(1.0, abs(s1)) \
+                    else s + h
+                y = yi  # the input of the last stage is y5
+                K[0] = K[6]  # FSAL
+                ss.append(s)
+                ys.append(y)
+                fs.append(K[0].copy())
+            # a failed stage or a non-finite error (NaN or inf) shrinks by 0.2
+            factor = 0.9 * err ** -0.2 if 0 < err < math.inf \
+                else 5.0 if err == 0 else 0.2
+            h = direction * min(abs(h) * min(5.0, max(0.2, factor)),
+                                opts.max_step)
+            if abs(h) < opts.min_step or s + h == s:
                 break
-            k.append(ki)
-        if not failed:
-            y5 = y + h * sum(b * ki for b, ki in zip(_B5, k))
-            y4 = y + h * sum(b * ki for b, ki in zip(_B4, k))
-            diff = y5 - y4
-            scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-            err = math.sqrt(float(np.mean((diff / scale) ** 2)))
-        if failed or not math.isfinite(err) or err > 1.0:
-            factor = 0.2 if (failed or not math.isfinite(err)) \
-                else max(0.2, 0.9 * err ** -0.2)
-            h *= factor
-            if abs(h) < opts.min_step:
-                raise IntegrationStallError(
-                    f"step size underflow at s={s} (stiffness or singularity)",
-                    s, y.copy())
-            continue
-        s = s1 if abs(s1 - (s + h)) < 1e-14 * max(1.0, abs(s1)) else s + h
-        y = y5
-        k1 = k[6]  # FSAL
-        ss.append(s)
-        ys.append(y.copy())
-        fs.append(k1.copy())
-        if err > 0:
-            h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            h *= 5.0
-        if abs(h) > opts.max_step:
-            h = direction * opts.max_step
 
-    ss[-1] = float(s1)
-    return Trajectory(
-        s=np.array(ss),
-        states=np.array(ys),
-        labels=tuple(labels),
-        derivs=np.array(fs) if opts.dense_output else None,
-    )
+    traj = Trajectory(s=np.array(ss), states=np.array(ys), labels=tuple(labels),
+                      derivs=np.array(fs) if opts.dense_output else None)
+    if (s1 - s) * direction > 0:
+        raise IntegrationStallError(
+            f"step size underflow at s={s} (stiffness or singularity)", traj)
+    return traj

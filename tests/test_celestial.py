@@ -14,7 +14,7 @@ from extphase.celestial import (KeplerSpec, KsPoint, TimeScaleSpec,
                                 transformed_canonical_rhs)
 from extphase.errors import (CollisionChartError, DomainEvaluationError,
                              IntegrationStallError)
-from extphase.numkit import value_of
+from extphase.numkit import IntegratorOptions, value_of
 from extphase.phase import ExtendedPoint, symplectic_residual
 from extphase.transform import apply_generating, restriction_report
 
@@ -58,10 +58,20 @@ def test_timescale_rejects_nonpositive_xi():
 
 
 def test_direct_integration_stalls_at_collision():
-    with pytest.raises(IntegrationStallError) as exc:
-        kepler_direct(ORBIT, (0.0, 4.0))
-    # the collision time of x = 1 + cos t' (with dt = x dt') is pi
-    assert exc.value.s_last == pytest.approx(math.pi, abs=1e-3)
+    # the collision time of x = 1 + cos t' (with dt = x dt') is pi; the free
+    # fall from rest at x0 = 1000 collides at t = 35124.07, where the float
+    # spacing of t is wider than min_step (a larger max_step keeps it short)
+    for spec, t_end, opts, t_hit in (
+            (ORBIT, 4.0, None, math.pi),
+            (KeplerSpec(K2=1.0, x0=1000.0, p0=0.0), 4e4,
+             IntegratorOptions(max_step=10.0), 35124.07)):
+        with pytest.raises(IntegrationStallError) as exc:
+            kepler_direct(spec, (0.0, t_end), opts)
+        assert exc.value.s_last == pytest.approx(t_hit, abs=1e-2)
+        traj = exc.value.trajectory
+        assert traj.labels == ("x", "p", "e")
+        clear = traj.column("x") > 0.05
+        assert np.max(np.abs(traj.column("e")[clear] - spec.energy)) < 1e-10
 
 
 def test_direct_energy_column():

@@ -159,6 +159,11 @@ def test_kepler_direct_reports_stall(tmp_path):
     assert report.passed
     assert report.metrics["stalled"] == 1.0
     assert (tmp_path / "report.json").exists()
+    # the free fall from rest at x0 = 1 reaches x = 0 at pi/2 sqrt(x0^3/2K^2)
+    stall = report.metrics["stall_time"]
+    assert abs(stall - math.pi / 2.0 * math.sqrt(0.5)) <= 1e-9
+    last = (tmp_path / "kepler_direct.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) <= 0.98 * stall
 
 
 def test_validate_rejects_non_finite_numbers():
@@ -172,7 +177,17 @@ def test_validate_rejects_non_finite_numbers():
                 {"scenario": "kepler-direct", "params": {"t_end": 10 ** 400}},
                 # not non-finite, but it hangs a stalling run the same way
                 {"scenario": "kepler-direct",
-                 "tolerances": {"min_step": 0}}):
+                 "tolerances": {"min_step": 0}},
+                # finite, but past the bounds on horizon, count and dimension
+                {"scenario": "kepler-regularized",
+                 "params": {"tprime_end": 1e6}},
+                {"scenario": "kepler-direct", "params": {"t_end": 4e4}},
+                {"scenario": "ks", "params": {"count": 10 ** 9}},
+                {"scenario": "ks", "params": {"count_symplectic": 10 ** 6}},
+                {"scenario": "oscillator", "params": {"n": 10 ** 6}},
+                {"scenario": "potential", "params": {"n": 101}},
+                # JSON true is a Python int, but not a count
+                {"scenario": "ks", "params": {"count": True}}):
         config, errors = validate(obj)
         assert config is None and errors, obj
 
@@ -180,7 +195,11 @@ def test_validate_rejects_non_finite_numbers():
 def test_cli_validate_non_finite_exits_2(tmp_path, capsys):
     for text in ('{"scenario": "kepler-direct", "params": {"t_end": Infinity}}',
                  '{"scenario": "oscillator", "params": {"eps": NaN}}',
-                 '{"scenario": "lorentz", "tolerances": {"rel_tol": NaN}}'):
+                 '{"scenario": "lorentz", "tolerances": {"rel_tol": NaN}}',
+                 '{"scenario": "kepler-regularized", '
+                 '"params": {"tprime_end": 1e6}}',
+                 '{"scenario": "lorentz", "params": {"count": 1000000000}}',
+                 '{"scenario": "oscillator", "params": {"n": 1000000}}'):
         path = tmp_path / "cfg.json"
         path.write_text(text)
         assert main(["validate", str(path)]) == 2

@@ -185,6 +185,9 @@ def test_integrate_backwards():
 
 def test_integrate_stalls_on_nan_with_context():
     def rhs(s, y):
+        # a step stops at its first non-finite stage, so no stage is ever
+        # evaluated at a NaN state
+        assert np.all(np.isfinite(y)), y
         if y[0] > 2.0:
             return [math.nan]
         return [y[0]]
@@ -193,6 +196,27 @@ def test_integrate_stalls_on_nan_with_context():
         integrate(rhs, [1.0], 0.0, 5.0, labels=("x",))
     assert exc.value.s_last == pytest.approx(math.log(2.0), abs=1e-6)
     assert exc.value.state_last[0] == pytest.approx(2.0, abs=1e-5)
+    traj = exc.value.trajectory
+    assert traj.s[-1] == exc.value.s_last
+    assert np.array_equal(traj.states[-1], exc.value.state_last)
+
+
+def test_integrate_step_floor_stops_collision_early():
+    # free fall into x = 0 of H = p^2/2 - 1/x; the RHS is NaN past it
+    calls = [0]
+
+    def rhs(s, y):
+        calls[0] += 1
+        x, p = y
+        return [math.nan, math.nan] if x <= 0 else [p, -1.0 / x ** 2]
+
+    opts = IntegratorOptions()
+    with pytest.raises(IntegrationStallError) as exc:
+        integrate(rhs, [1.0, 0.0], 0.0, 3.0, opts, labels=("x", "p"))
+    # min_step bounds every step, so accepted steps cannot shrink towards
+    # zero length: that took about 167k calls
+    assert calls[0] < 20000
+    assert np.all(np.diff(exc.value.trajectory.s) >= opts.min_step)
 
 
 def test_integrator_options_validation():
