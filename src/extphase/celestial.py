@@ -109,14 +109,12 @@ def transformed_canonical_rhs(spec: KeplerSpec, xi):
 
 def _with_energy(spec: KeplerSpec, base: Trajectory) -> Trajectory:
     """Extend (x, p) samples to columns (x, p, e), e recomputed pointwise."""
-    xs, ps = base.states[:, 0], base.states[:, 1]
-    es = 0.5 * ps ** 2 - spec.K2 / xs
-    states = np.column_stack([xs, ps, es])
+    xs, ps = base.states.T
+    states = np.column_stack([xs, ps, 0.5 * ps ** 2 - spec.K2 / xs])
     derivs = None
     if base.derivs is not None:
-        dx, dp = base.derivs[:, 0], base.derivs[:, 1]
-        de = ps * dp + spec.K2 / xs ** 2 * dx
-        derivs = np.column_stack([dx, dp, de])
+        dx, dp = base.derivs.T
+        derivs = np.column_stack([dx, dp, ps * dp + spec.K2 / xs ** 2 * dx])
     return Trajectory(s=base.s, states=states, labels=("x", "p", "e"),
                       derivs=derivs)
 

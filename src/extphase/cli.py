@@ -343,8 +343,7 @@ def _run_lorentz(params, rng, opts):
 def _run_kepler_direct(params, rng, opts):
     spec = celestial.KeplerSpec(K2=params["K2"], x0=params["x0"],
                                 p0=params["p0"])
-    stalled = 0.0
-    stall_time = math.nan
+    stalled, stall_time = 0.0, math.nan
     try:
         traj = celestial.kepler_direct(spec, (0.0, params["t_end"]), opts)
     except IntegrationStallError as exc:

@@ -10,13 +10,8 @@ class DomainEvaluationError(ExtphaseError):
 
 
 class IntegrationStallError(ExtphaseError):
-    """The adaptive integrator underflowed its minimum step size.
-
-    Carries the trajectory of the samples taken before the stall, so callers
-    can use how far the integration got (e.g. up to a Kepler collision)
-    without integrating again; ``s_last`` and ``state_last`` read its last
-    sample.
-    """
+    """The adaptive step fell below its floor short of the end; ``trajectory``
+    holds the samples so far, and ``s_last``/``state_last`` read its last."""
 
     def __init__(self, message, trajectory):
         super().__init__(message)

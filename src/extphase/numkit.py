@@ -375,21 +375,22 @@ class Trajectory:
     def column(self, label):
         return self.states[:, self.labels.index(label)]
 
-    def _segment(self, s):
-        """The Hermite segment around s: its length h, u = (s - s0) / h, and
-        the states and derivatives at both ends."""
-        if self.derivs is None:
-            raise ValueError("trajectory was recorded without dense output")
+    def _bracket(self, s):
         sig = 1.0 if self.s[-1] >= self.s[0] else -1.0
-        i = int(np.searchsorted(sig * self.s, sig * s))
-        i = min(max(i, 1), len(self.s) - 1)
-        h = self.s[i] - self.s[i - 1]
-        return (h, (s - self.s[i - 1]) / h, self.states[i - 1], self.states[i],
-                self.derivs[i - 1], self.derivs[i])
+        grid = sig * self.s
+        i = int(np.searchsorted(grid, sig * s))
+        return min(max(i, 1), len(self.s) - 1)
 
     def interpolate(self, s):
         """Cubic Hermite interpolation of the state at parameter value s."""
-        h, u, y0, y1, f0, f1 = self._segment(s)
+        if self.derivs is None:
+            raise ValueError("trajectory was recorded without dense output")
+        i = self._bracket(s)
+        s0, s1 = self.s[i - 1], self.s[i]
+        h = s1 - s0
+        u = (s - s0) / h
+        y0, y1 = self.states[i - 1], self.states[i]
+        f0, f1 = self.derivs[i - 1], self.derivs[i]
         h00 = (1 + 2 * u) * (1 - u) ** 2
         h10 = u * (1 - u) ** 2
         h01 = u * u * (3 - 2 * u)
@@ -398,7 +399,14 @@ class Trajectory:
 
     def derivative(self, s):
         """Exact derivative of the cubic Hermite interpolant at s."""
-        h, u, y0, y1, f0, f1 = self._segment(s)
+        if self.derivs is None:
+            raise ValueError("trajectory was recorded without dense output")
+        i = self._bracket(s)
+        s0, s1 = self.s[i - 1], self.s[i]
+        h = s1 - s0
+        u = (s - s0) / h
+        y0, y1 = self.states[i - 1], self.states[i]
+        f0, f1 = self.derivs[i - 1], self.derivs[i]
         dh00 = 6 * u * (u - 1) / h
         dh10 = (1 - u) * (1 - 3 * u)
         dh01 = -6 * u * (u - 1) / h
@@ -481,8 +489,7 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
     h = direction * min(opts.max_step, abs(s1 - s0))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while (s1 - s) * direction > 0:
-            if abs(h) > abs(s1 - s):
-                h = s1 - s
+            h = direction * min(abs(h), abs(s1 - s))
             err = math.inf
             for i in range(1, 7):
                 yi = y + h * (_A[i, :i] @ K[:i])

@@ -59,15 +59,17 @@ def test_timescale_rejects_nonpositive_xi():
 
 def test_direct_integration_stalls_at_collision():
     # the collision time of x = 1 + cos t' (with dt = x dt') is pi; the free
-    # fall from rest at x0 = 1000 collides at t = 35124.07, where the float
-    # spacing of t is wider than min_step (a larger max_step keeps it short)
-    for spec, t_end, opts, t_hit in (
-            (ORBIT, 4.0, None, math.pi),
+    # fall from rest at x0 = 1000 collides at t = pi/2 sqrt(x0^3 / 2 K2)
+    # = 35124.07, where the float spacing of t is wider than min_step (a
+    # larger max_step keeps it short)
+    for spec, t_end, opts, t_hit, tol in (
+            (ORBIT, 4.0, None, math.pi, 1e-3),
             (KeplerSpec(K2=1.0, x0=1000.0, p0=0.0), 4e4,
-             IntegratorOptions(max_step=10.0), 35124.07)):
+             IntegratorOptions(max_step=10.0),
+             0.5 * math.pi * math.sqrt(1000.0 ** 3 / 2.0), 1e-6)):
         with pytest.raises(IntegrationStallError) as exc:
             kepler_direct(spec, (0.0, t_end), opts)
-        assert exc.value.s_last == pytest.approx(t_hit, abs=1e-2)
+        assert exc.value.s_last == pytest.approx(t_hit, abs=tol)
         traj = exc.value.trajectory
         assert traj.labels == ("x", "p", "e")
         clear = traj.column("x") > 0.05
