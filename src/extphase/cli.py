@@ -26,7 +26,7 @@ import numpy as np
 
 from . import celestial, lagrangian, phase, relativity, tdsystems, transform
 from .errors import ExtphaseError, IntegrationStallError
-from .numkit import IntegratorOptions, Trajectory, sin, value_of
+from .numkit import MAX_STEPS, IntegratorOptions, Trajectory, sin, value_of
 
 PROG = "extphase"
 
@@ -206,6 +206,11 @@ def validate(obj):
                 errors.append(f"invalid tolerances: {exc}")
         else:
             errors.append("tolerance overrides must be numbers")
+    for key in ("t_end", "tprime_end"):
+        v = filled.get(key)
+        if _horizon(v) and v / opts.max_step > MAX_STEPS:
+            errors.append(f"{key!r} / max_step = {v / opts.max_step:.3g} "
+                          f"exceeds the step budget of {MAX_STEPS} steps")
     seed = obj.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         errors.append("'seed' must be an integer")
@@ -468,17 +473,17 @@ def _run_potential(params, rng, opts):
     triple0 = tdsystems.invariant_triple(q0, p0, traj.states[0, 2 * n])
     det_err = 0.0
     inv_err = 0.0
-    rows = []
-    for k in range(len(traj.s)):
-        y = traj.states[k]
+    dets, backs = [], []
+    for y, mat in zip(traj.states, mats):
         q, p, e = y[:n], y[n:2 * n], y[2 * n]
-        Xi = mats[k].Xi
-        det_err = max(det_err, abs(mats[k].det - 1.0))
-        triple = tdsystems.invariant_triple(q, p, e)
-        back = Xi.T @ triple
+        det = mat.det
+        det_err = max(det_err, abs(det - 1.0))
+        back = mat.Xi.T @ tdsystems.invariant_triple(q, p, e)
         inv_err = max(inv_err, float(np.max(np.abs(back - triple0))))
-        rows.append(tuple([traj.s[k]] + list(q) + list(p) + [e]
-                          + list(Xi[0]) + [mats[k].det] + list(back)))
+        dets.append(det)
+        backs.append(back)
+    # columns t, q, p, e, then the first Xi row, det and the mapped triple
+    rows = np.column_stack((traj.s, traj.states[:, :2 * n + 4], dets, backs))
     header = ("t",) + tuple(f"q{i+1}" for i in range(n)) \
         + tuple(f"p{i+1}" for i in range(n)) \
         + ("e", "xi1", "xi2", "xi3", "detXi", "inv1", "inv2", "inv3")

@@ -26,6 +26,11 @@ class IntegrationStallError(ExtphaseError):
         return self.trajectory.states[-1]
 
 
+class StepBudgetError(ExtphaseError):
+    """The integrator attempted more steps than ``numkit.MAX_STEPS`` short of
+    the end; unlike a stall, the step size had not collapsed."""
+
+
 class ImplicitSolveError(ExtphaseError):
     """Damped Newton iteration failed to converge within its iteration budget."""
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from operator import add, neg, sub
 
 import numpy as np
 
@@ -20,6 +23,7 @@ from .errors import (
     DomainEvaluationError,
     ImplicitSolveError,
     IntegrationStallError,
+    StepBudgetError,
 )
 
 # ---------------------------------------------------------------------------
@@ -35,13 +39,17 @@ class Dual:
     with respect to the newer seeds.  This keeps nested differentiation
     (Jacobians through Newton solves, mixed Hessians) free of
     perturbation confusion.
+
+    Every slot is computed by the same float (or nested dual) operations,
+    in the same order, as the plain per-slot formula, so results are
+    bit-identical to it.  ``eps`` is any iterable; a tuple is kept as is.
     """
 
     __slots__ = ("val", "eps", "tag")
 
     def __init__(self, val, eps, tag=0):
         self.val = val
-        self.eps = tuple(eps)
+        self.eps = eps if type(eps) is tuple else tuple(eps)
         self.tag = tag
 
     # -- arithmetic ---------------------------------------------------------
@@ -50,8 +58,7 @@ class Dual:
         if isinstance(other, Dual):
             if other.tag == self.tag:
                 return Dual(self.val + other.val,
-                            tuple(a + b for a, b in zip(self.eps, other.eps)),
-                            self.tag)
+                            tuple(map(add, self.eps, other.eps)), self.tag)
             if other.tag > self.tag:
                 return other.__add__(self)
         return Dual(self.val + other, self.eps, self.tag)
@@ -62,25 +69,25 @@ class Dual:
         if isinstance(other, Dual):
             if other.tag == self.tag:
                 return Dual(self.val - other.val,
-                            tuple(a - b for a, b in zip(self.eps, other.eps)),
-                            self.tag)
+                            tuple(map(sub, self.eps, other.eps)), self.tag)
             if other.tag > self.tag:
                 return (-other).__add__(self)
         return Dual(self.val - other, self.eps, self.tag)
 
     def __rsub__(self, other):
-        return Dual(other - self.val, tuple(-a for a in self.eps), self.tag)
+        return Dual(other - self.val, tuple(map(neg, self.eps)), self.tag)
 
     def __mul__(self, other):
         if isinstance(other, Dual):
             if other.tag == self.tag:
-                return Dual(self.val * other.val,
-                            tuple(a * other.val + self.val * b
-                                  for a, b in zip(self.eps, other.eps)),
+                u, v = self.val, other.val
+                return Dual(u * v,
+                            tuple([a * v + u * b
+                                   for a, b in zip(self.eps, other.eps)]),
                             self.tag)
             if other.tag > self.tag:
                 return other.__mul__(self)
-        return Dual(self.val * other, tuple(a * other for a in self.eps),
+        return Dual(self.val * other, tuple([a * other for a in self.eps]),
                     self.tag)
 
     __rmul__ = __mul__
@@ -91,40 +98,46 @@ class Dual:
                 inv = 1.0 / other.val if not isinstance(other.val, Dual) \
                     else other.val ** -1.0
                 q = self.val * inv
-                return Dual(q, tuple((a - q * b) * inv
-                                     for a, b in zip(self.eps, other.eps)),
+                return Dual(q, tuple([(a - q * b) * inv
+                                      for a, b in zip(self.eps, other.eps)]),
                             self.tag)
             if other.tag > self.tag:
                 return other.__rtruediv__(self)
             inv = other ** -1.0
-            return Dual(self.val * inv, tuple(a * inv for a in self.eps),
-                        self.tag)
-        inv = 1.0 / other
-        return Dual(self.val * inv, tuple(a * inv for a in self.eps),
+        else:
+            inv = 1.0 / other
+        return Dual(self.val * inv, tuple([a * inv for a in self.eps]),
                     self.tag)
 
     def __rtruediv__(self, other):
         q = other / self.val
-        inv = q / self.val
-        return Dual(q, tuple(-inv * a for a in self.eps), self.tag)
+        ninv = -(q / self.val)
+        return Dual(q, tuple([ninv * a for a in self.eps]), self.tag)
 
     def __pow__(self, k):
+        """Real powers only: a non-integer power of a negative value raises
+        :class:`DomainEvaluationError`."""
         if isinstance(k, Dual):
             return exp(k * log(self))
         if k == 0:
             return Dual(self.val * 0 + 1.0,
-                        tuple(0.0 * a for a in self.eps), self.tag)
+                        tuple([0.0 * a for a in self.eps]), self.tag)
         w = self.val ** (k - 1)
-        return Dual(w * self.val, tuple((k * w) * a for a in self.eps),
+        if type(w) is complex:
+            raise DomainEvaluationError(
+                f"non-integer power {k} of negative value {self.val}")
+        kw = k * w
+        return Dual(w * self.val, tuple([kw * a for a in self.eps]),
                     self.tag)
 
     def __neg__(self):
-        return Dual(-self.val, tuple(-a for a in self.eps), self.tag)
+        return Dual(-self.val, tuple(map(neg, self.eps)), self.tag)
 
     def __pos__(self):
         return self
 
     def __abs__(self):
+        """|x|, with slope +1 at 0: the value 0 counts as positive."""
         return -self if value_of(self) < 0.0 else self
 
     # comparisons act on the primal value only
@@ -152,13 +165,19 @@ def value_of(x):
 
 
 def _chain(x, f0, d0):
-    return Dual(f0, tuple(d0 * a for a in x.eps), x.tag)
+    return Dual(f0, tuple([d0 * a for a in x.eps]), x.tag)
 
 
 def sqrt(x):
+    """Square root; the derivative at 0 is infinite, so a dual argument at 0
+    raises :class:`DomainEvaluationError`."""
     if isinstance(x, Dual):
         r = sqrt(x.val)
-        return _chain(x, r, 0.5 / r)
+        try:
+            d = 0.5 / r
+        except ZeroDivisionError:
+            raise DomainEvaluationError("derivative of sqrt at 0") from None
+        return _chain(x, r, d)
     if x < 0.0:
         raise DomainEvaluationError(f"sqrt of negative value {x}")
     return math.sqrt(x)
@@ -195,12 +214,17 @@ def cos(x):
 _TAG_COUNTER = [0]
 
 
+@lru_cache(maxsize=64)
+def _one_hot(m):
+    """The m unit vectors of length m: the eps of m seeds."""
+    return tuple(tuple(1.0 if j == i else 0.0 for j in range(m))
+                 for i in range(m))
+
+
 def _seed_tagged(x):
-    m = len(x)
     _TAG_COUNTER[0] += 1
     tag = _TAG_COUNTER[0]
-    return [Dual(xi, tuple(1.0 if j == i else 0.0 for j in range(m)), tag)
-            for i, xi in enumerate(x)], tag
+    return list(map(Dual, x, _one_hot(len(x)), repeat(tag))), tag
 
 
 def grad_raw(f, x):
@@ -460,6 +484,9 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 # local error estimate y5 - y4 = h * (_E @ K), free of the cancellation
 _E = _A[6] - _B4
 
+# attempted steps (accepted or rejected) after which integrate gives up
+MAX_STEPS = 10 ** 6
+
 
 def integrate(rhs, y0, s0, s1, opts=None, labels=None):
     """Adaptive Dormand-Prince 5(4) integration of y' = rhs(s, y) from s0 to s1.
@@ -469,7 +496,8 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
     ``opts.min_step`` is a floor on every step, accepted or rejected: once
     the next step is shorter than it, or too short to move s at all, the
     integration raises :class:`IntegrationStallError` carrying the
-    :class:`Trajectory` of the samples taken so far.
+    :class:`Trajectory` of the samples taken so far.  More than
+    ``MAX_STEPS`` attempted steps raise :class:`StepBudgetError`.
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -487,8 +515,14 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
 
     ss, ys, fs = [s], [y], [K[0].copy()]
     h = direction * min(opts.max_step, abs(s1 - s0))
+    attempts = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while (s1 - s) * direction > 0:
+            if attempts == MAX_STEPS:
+                raise StepBudgetError(
+                    f"step budget of {MAX_STEPS} attempted steps exhausted "
+                    f"at s={s} short of {s1}")
+            attempts += 1
             h = direction * min(abs(h), abs(s1 - s))
             err = math.inf
             for i in range(1, 7):

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from extphase import numkit
 from extphase.cli import SCHEMAS, ScenarioConfig, main, run, validate
 
 
@@ -226,3 +227,22 @@ def test_kepler_regularized_counts_collisions(tmp_path):
     report = run(cfg)
     assert report.passed
     assert report.metrics["collision_count"] == 3.0
+
+
+def test_step_budget_exit_codes(tmp_path, capsys, monkeypatch):
+    # at least 1e4 / 1e-6 = 1e10 steps: rejected before it runs
+    cfg = write_config(tmp_path / "long.json",
+                       {"scenario": "kepler-regularized",
+                        "params": {"tprime_end": 1e4},
+                        "tolerances": {"max_step": 1e-6}})
+    for command in ("validate", "run"):
+        assert main([command, cfg]) == 2
+        assert "step budget" in capsys.readouterr().err
+    # a run that exhausts the budget fails with exit 1, not as a stall
+    monkeypatch.setattr(numkit, "MAX_STEPS", 100)
+    cfg = write_config(tmp_path / "direct.json", {"scenario": "kepler-direct"})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"].startswith("StepBudgetError")
+    assert report["metrics"] == {"runner_failed": 1.0}
