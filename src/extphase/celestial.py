@@ -111,10 +111,8 @@ def _with_energy(spec: KeplerSpec, base: Trajectory) -> Trajectory:
     """Extend (x, p) samples to columns (x, p, e), e recomputed pointwise."""
     xs, ps = base.states.T
     states = np.column_stack([xs, ps, 0.5 * ps ** 2 - spec.K2 / xs])
-    derivs = None
-    if base.derivs is not None:
-        dx, dp = base.derivs.T
-        derivs = np.column_stack([dx, dp, ps * dp + spec.K2 / xs ** 2 * dx])
+    dx, dp = base.derivs.T
+    derivs = np.column_stack([dx, dp, ps * dp + spec.K2 / xs ** 2 * dx])
     return Trajectory(s=base.s, states=states, labels=("x", "p", "e"),
                       derivs=derivs)
 
@@ -166,11 +164,9 @@ def kepler_regularized(spec: KeplerSpec, tprime_span, opts=None) -> Trajectory:
                             tprime_span[1], opts, labels=("x", "dxdt", "t"))
     m = base.states.shape[0]
     states = np.column_stack([base.states, np.full(m, e0)])
-    derivs = None
-    if base.derivs is not None:
-        derivs = np.column_stack([base.derivs, np.zeros(m)])
     return Trajectory(s=base.s, states=states,
-                      labels=("x", "dxdt", "t", "e"), derivs=derivs)
+                      labels=("x", "dxdt", "t", "e"),
+                      derivs=np.column_stack([base.derivs, np.zeros(m)]))
 
 
 def _ks_q(u):

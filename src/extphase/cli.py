@@ -265,7 +265,7 @@ def _suite_hamiltonians():
         F=lambda t: 0.05 * t).system()
     rel = relativity.lorentz_invariant_hamiltonian(
         relativity.EmField.free(m=1.0)).solved
-    pot = tdsystems.PotentialSpec.from_potential(
+    pot = tdsystems.PotentialSpec(
         1, lambda q, t: 0.5 * (1.0 + 0.1 * sin(t)) * q[0] ** 2).system()
     return [kep, osc, rel, pot]
 
@@ -463,7 +463,7 @@ def _run_oscillator(params, rng, opts):
 def _run_potential(params, rng, opts):
     n = params["n"]
     eps = params["eps"]
-    spec = tdsystems.PotentialSpec.from_potential(
+    spec = tdsystems.PotentialSpec(
         n, lambda q, t: 0.5 * (1.0 + eps * sin(t))
         * sum(x * x for x in q))
     q0 = params["q0"] if params["q0"] is not None else [1.0] * n
@@ -471,17 +471,13 @@ def _run_potential(params, rng, opts):
     traj, mats = tdsystems.transfer_matrix(spec, q0, p0,
                                            (0.0, params["t_end"]), opts)
     triple0 = tdsystems.invariant_triple(q0, p0, traj.states[0, 2 * n])
-    det_err = 0.0
-    inv_err = 0.0
-    dets, backs = [], []
-    for y, mat in zip(traj.states, mats):
-        q, p, e = y[:n], y[n:2 * n], y[2 * n]
-        det = mat.det
-        det_err = max(det_err, abs(det - 1.0))
-        back = mat.Xi.T @ tdsystems.invariant_triple(q, p, e)
-        inv_err = max(inv_err, float(np.max(np.abs(back - triple0))))
-        dets.append(det)
-        backs.append(back)
+    triples = np.array([tdsystems.invariant_triple(y[:n], y[n:2 * n], y[2 * n])
+                        for y in traj.states])
+    Xi = np.stack([mat.Xi for mat in mats])
+    dets = np.linalg.det(Xi)
+    backs = (triples[:, None, :] @ Xi)[:, 0]  # row k: Xi_k^T triple_k
+    det_err = float(np.max(np.abs(dets - 1.0)))
+    inv_err = float(np.max(np.abs(backs - triple0)))
     # columns t, q, p, e, then the first Xi row, det and the mapped triple
     rows = np.column_stack((traj.s, traj.states[:, :2 * n + 4], dets, backs))
     header = ("t",) + tuple(f"q{i+1}" for i in range(n)) \

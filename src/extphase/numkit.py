@@ -158,10 +158,19 @@ class Dual:
 
 
 def value_of(x):
-    """Strip all dual layers, returning the underlying float."""
+    """Strip all dual layers, returning the underlying float.
+
+    A complex value (such as ``(-2.0) ** 0.5`` of plain floats) raises
+    :class:`DomainEvaluationError`.
+    """
     while isinstance(x, Dual):
         x = x.val
-    return float(x)
+    try:
+        return float(x)
+    except TypeError:
+        if isinstance(x, complex):
+            raise DomainEvaluationError(f"complex value {x}") from None
+        raise
 
 
 def _chain(x, f0, d0):
@@ -456,7 +465,6 @@ class IntegratorOptions:
     abs_tol: float = 1e-12
     max_step: float = 0.1
     min_step: float = 1e-12
-    dense_output: bool = True
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
@@ -552,7 +560,7 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
                 break
 
     traj = Trajectory(s=np.array(ss), states=np.array(ys), labels=tuple(labels),
-                      derivs=np.array(fs) if opts.dense_output else None)
+                      derivs=np.array(fs))
     if (s1 - s) * direction > 0:
         raise IntegrationStallError(
             f"step size underflow at s={s} (stiffness or singularity)", traj)

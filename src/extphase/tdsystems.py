@@ -82,40 +82,17 @@ class OscillatorSpec:
             + xs.xi ** 2 * (w2 - 0.5 * fd - 0.25 * f ** 2)
 
 
-def _v_gradient(V, q, t):
-    """(dV/dq_1, ..., dV/dq_n, dV/dt) at (q, t) by dual seeding."""
-    n = len(q)
-    _, g = numkit.grad_raw(lambda v: V(v[:n], v[n]), list(q) + [t])
-    return g
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
-    """H = p^2/2 + V(q, t); gradV and dVdt must be consistent with V."""
+    """H = p^2/2 + V(q, t); every derivative of V comes from dual seeding."""
 
     n: int
-    V: object      # callable (q, t) -> scalar
-    gradV: object  # callable (q, t) -> n components
-    dVdt: object   # callable (q, t) -> scalar
+    V: object  # callable (q, t) -> scalar
 
-    @staticmethod
-    def from_potential(n, V):
-        """Derive gradV and dVdt from V by dual seeding."""
-
-        def gradV(q, t):
-            return tuple(_v_gradient(V, q, t)[:n])
-
-        def dVdt(q, t):
-            return _v_gradient(V, q, t)[n]
-
-        return PotentialSpec(n=n, V=V, gradV=gradV, dVdt=dVdt)
-
-    def consistency_residual(self, q, t):
-        """Max disagreement of (gradV, dVdt) with dual derivatives of V."""
-        g = _v_gradient(self.V, q, t)
-        res = max(abs(value_of(a - b))
-                  for a, b in zip(self.gradV(q, t), g[:self.n]))
-        return max(res, abs(value_of(self.dVdt(q, t) - g[self.n])))
+    def derivatives(self, q, t):
+        """(V, [dV/dq_1, ..., dV/dq_n, dV/dt]) at (q, t) from one seeding."""
+        n = self.n
+        return numkit.grad_raw(lambda v: self.V(v[:n], v[n]), list(q) + [t])
 
     def system(self):
         def H(q, p, t):
@@ -298,21 +275,20 @@ def oscillator_coupled_run(spec: OscillatorSpec, q0, p0, xi0: XiState,
     return numkit.integrate(rhs, y0, t_span[0], t_span[1], opts, labels=labels)
 
 
-def xi_general_rhs(spec: PotentialSpec, traj_point) -> np.ndarray:
-    """Companion matrix A(t) of the auxiliary system for a general potential.
+def xi_general_rhs(q, V, grad) -> np.ndarray:
+    """Companion matrix A(t) of the auxiliary system for a general potential,
+    from V and grad = (dV/dq_1, ..., dV/dq_n, dV/dt) at the point (q, t).
 
     g1 = (4/q^2) dV/dt, g2 = (4/q^2) [V + q.gradV/2]; last row
     (-g1, -g2, 0); the trace is zero regardless of V.
     """
-    q, t = traj_point
+    *dVdq, dVdt = grad
     q2 = sum(value_of(x) ** 2 for x in q)
     if q2 < _Q2_FLOOR:
         raise CoefficientSingularityError(
             f"q^2 = {q2:.3e} below floor {_Q2_FLOOR}; trajectory too close to origin")
-    g1 = 4.0 / q2 * value_of(spec.dVdt(q, t))
-    g2 = 4.0 / q2 * value_of(spec.V(q, t)
-                             + 0.5 * sum(a * b for a, b in
-                                         zip(q, spec.gradV(q, t))))
+    g1 = 4.0 / q2 * value_of(dVdt)
+    g2 = 4.0 / q2 * value_of(V + 0.5 * sum(a * b for a, b in zip(q, dVdq)))
     return np.array([[0.0, 1.0, 0.0],
                      [0.0, 0.0, 1.0],
                      [-g1, -g2, 0.0]])
@@ -342,14 +318,11 @@ def transfer_matrix(spec: PotentialSpec, q0, p0, t_span, opts=None):
     e0 = sys.H(tuple(q0), tuple(p0), t_span[0])
 
     def rhs(t, y):
-        _, dHdq, dHdp, dHdt = _h_gradient(sys, y[:n], y[n:2 * n], t)
-        q = tuple(y[:n])
-        A = xi_general_rhs(spec, (tuple(value_of(x) for x in q), value_of(t)))
-        Xi = np.array([[value_of(y[2 * n + 1 + 3 * r + c])
-                        for c in range(3)] for r in range(3)])
-        dXi = A @ Xi
-        return dHdp + [-g for g in dHdq] + [dHdt] \
-            + [dXi[r, c] for r in range(3) for c in range(3)]
+        q = y[:n].tolist()
+        V, grad = spec.derivatives(q, float(t))
+        dXi = xi_general_rhs(q, V, grad) @ y[2 * n + 1:].reshape(3, 3)
+        return y[n:2 * n].tolist() + [-g for g in grad[:n]] + [grad[n]] \
+            + dXi.ravel().tolist()
 
     labels = tuple(f"q{i+1}" for i in range(n)) \
         + tuple(f"p{i+1}" for i in range(n)) + ("e",) \
@@ -359,8 +332,6 @@ def transfer_matrix(spec: PotentialSpec, q0, p0, t_span, opts=None):
                                        0.0, 0.0, 1.0]
     traj = numkit.integrate(rhs, y0, t_span[0], t_span[1], opts,
                             labels=labels)
-    mats = [TransferMatrix(
-        Xi=np.array([[traj.states[k, 2 * n + 1 + 3 * r + c]
-                      for c in range(3)] for r in range(3)]),
-        t=float(traj.s[k])) for k in range(traj.states.shape[0])]
+    Xis = traj.states[:, 2 * n + 1:].reshape(-1, 3, 3).copy()
+    mats = [TransferMatrix(Xi=Xi, t=float(s)) for Xi, s in zip(Xis, traj.s)]
     return traj, mats

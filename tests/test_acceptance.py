@@ -38,7 +38,7 @@ def suite_systems():
                          F=lambda t: 0.05 * t).system()
     rel = relativity.lorentz_invariant_hamiltonian(
         relativity.EmField.free(m=1.0)).solved
-    pot = PotentialSpec.from_potential(
+    pot = PotentialSpec(
         1, lambda q, t: 0.5 * (1.0 + 0.1 * sin(t)) * q[0] ** 2).system()
     return [kepler, osc, rel, pot]
 
@@ -264,7 +264,7 @@ def test_07_oscillator_invariants():
 
 
 def test_08_general_potential():
-    spec = PotentialSpec.from_potential(
+    spec = PotentialSpec(
         1, lambda q, t: 0.5 * (1.0 + 0.1 * sin(t)) * q[0] ** 2)
     traj, mats = tdsystems.transfer_matrix(spec, (1.0,), (0.5,), (0.0, 30.0))
     det_err = max(abs(m.det - 1.0) for m in mats)
@@ -276,8 +276,7 @@ def test_08_general_potential():
         trip = tdsystems.invariant_triple((y[0],), (y[1],), y[2])
         trip_err = max(trip_err, float(np.max(np.abs(
             mats[k].Xi.T @ trip - triple0))))
-    auto = PotentialSpec.from_potential(1, lambda q, t: 0.5 * q[0] ** 2
-                                        + 0.0 * t)
+    auto = PotentialSpec(1, lambda q, t: 0.5 * q[0] ** 2 + 0.0 * t)
     _, amats = tdsystems.transfer_matrix(auto, (1.0,), (0.0,), (0.0, 10.0))
     xi1_err = max(float(np.max(np.abs(m.Xi[:, 0]
                                       - np.array([1.0, 0.0, 0.0]))))

@@ -3,11 +3,14 @@
 import json
 import math
 import os
+import random
 
+import numpy as np
 import pytest
 
-from extphase import numkit
-from extphase.cli import SCHEMAS, ScenarioConfig, main, run, validate
+from extphase import numkit, tdsystems
+from extphase.cli import (SCHEMAS, ScenarioConfig, _run_potential, main, run,
+                          validate)
 
 
 def write_config(path, obj):
@@ -227,6 +230,37 @@ def test_kepler_regularized_counts_collisions(tmp_path):
     report = run(cfg)
     assert report.passed
     assert report.metrics["collision_count"] == 3.0
+
+
+def test_potential_columns_match_per_sample_reference(monkeypatch):
+    # the runner's batched det and Xi^T triple against one call per sample
+    seen = []
+    transfer_matrix = tdsystems.transfer_matrix
+
+    def keep(*args, **kwargs):
+        seen.append(transfer_matrix(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(tdsystems, "transfer_matrix", keep)
+    cfg, errors = validate({"scenario": "potential",
+                            "params": {"n": 2, "t_end": 3.0}})
+    assert not errors
+    metrics, passed, [(_, _, rows)] = _run_potential(
+        cfg.params, random.Random(0), cfg.tolerances)
+    assert passed
+    (traj, mats), = seen
+    n = 2
+    triple0 = tdsystems.invariant_triple(traj.states[0, :n],
+                                         traj.states[0, n:2 * n],
+                                         traj.states[0, 2 * n])
+    dets = [mat.det for mat in mats]
+    backs = [mat.Xi.T @ tdsystems.invariant_triple(y[:n], y[n:2 * n], y[2 * n])
+             for y, mat in zip(traj.states, mats)]
+    assert rows[:, 2 * n + 5].tolist() == dets
+    assert np.array_equal(rows[:, 2 * n + 6:], np.array(backs))
+    assert metrics["det_xi_error"] == max(abs(d - 1.0) for d in dets)
+    assert metrics["invariant_triple_error_max"] == max(
+        float(np.max(np.abs(b - triple0))) for b in backs)
 
 
 def test_step_budget_exit_codes(tmp_path, capsys, monkeypatch):

@@ -47,6 +47,13 @@ def test_lift_rejects_nonfinite():
         lift((0.0,), (0.0,), 0.0, sys)
 
 
+def test_lift_rejects_complex_energy():
+    # a float base below 0 to a non-integer power gives a complex number
+    sys = HamiltonianSystem(n=1, H=lambda q, p, t: q[0] ** 0.5)
+    with pytest.raises(DomainEvaluationError):
+        lift((-1.0,), (0.0,), 0.0, sys)
+
+
 def test_extended_value_vanishes_on_shell():
     sys = harmonic()
     pt = lift((1.2,), (-0.4,), 0.0, sys)

@@ -181,19 +181,18 @@ def test_hoxi_solution_of_auxiliary_equation():
 
 def test_potential_spec_from_potential():
     from extphase.numkit import sin
-    spec = PotentialSpec.from_potential(
+    spec = PotentialSpec(
         1, lambda q, t: 0.5 * (1.0 + 0.1 * sin(t)) * q[0] ** 2)
-    assert spec.consistency_residual((1.3,), 0.8) < 1e-13
-    g = spec.gradV((1.3,), 0.8)
+    g = spec.derivatives((1.3,), 0.8)[1]
     assert value_of(g[0]) == pytest.approx(
         (1.0 + 0.1 * math.sin(0.8)) * 1.3, abs=1e-13)
 
 
 def test_companion_matrix_structure():
     from extphase.numkit import sin
-    spec = PotentialSpec.from_potential(
+    spec = PotentialSpec(
         1, lambda q, t: 0.5 * (1.0 + 0.1 * sin(t)) * q[0] ** 2)
-    A = xi_general_rhs(spec, ((1.5,), 0.4))
+    A = xi_general_rhs((1.5,), *spec.derivatives((1.5,), 0.4))
     assert np.trace(A) == 0.0
     assert np.allclose(A[0], [0.0, 1.0, 0.0])
     assert np.allclose(A[1], [0.0, 0.0, 1.0])
@@ -201,12 +200,12 @@ def test_companion_matrix_structure():
     assert A[2, 1] == pytest.approx(-4.0 * (1.0 + 0.1 * math.sin(0.4)),
                                     abs=1e-12)
     with pytest.raises(CoefficientSingularityError):
-        xi_general_rhs(spec, ((1e-9,), 0.4))
+        xi_general_rhs((1e-9,), *spec.derivatives((1e-9,), 0.4))
 
 
 def test_transfer_matrix_unit_determinant_and_invariants():
     from extphase.numkit import sin
-    spec = PotentialSpec.from_potential(
+    spec = PotentialSpec(
         1, lambda q, t: 0.5 * (1.0 + 0.1 * sin(t)) * q[0] ** 2)
     traj, mats = transfer_matrix(spec, (1.0,), (0.5,), (0.0, 8.0))
     assert isinstance(mats[0], TransferMatrix)
@@ -221,9 +220,32 @@ def test_transfer_matrix_unit_determinant_and_invariants():
         assert np.max(np.abs(m.Xi.T @ triple - triple0)) < 1e-9
 
 
+def test_transfer_matrix_evaluates_potential_once_per_rhs(monkeypatch):
+    from extphase import numkit
+    from extphase.numkit import sin
+    calls = {"V": 0, "rhs": 0}
+
+    def V(q, t):
+        calls["V"] += 1
+        return 0.5 * (1.0 + 0.1 * sin(t)) * q[0] ** 2
+
+    integrate = numkit.integrate
+
+    def counting_integrate(rhs, *args, **kwargs):
+        def counted(s, y):
+            calls["rhs"] += 1
+            return rhs(s, y)
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(numkit, "integrate", counting_integrate)
+    transfer_matrix(PotentialSpec(1, V), (1.0,), (0.5,), (0.0, 2.0))
+    # one evaluation per RHS call, plus one for the initial energy e0
+    assert calls["rhs"] > 0
+    assert calls["V"] == calls["rhs"] + 1
+
+
 def test_autonomous_potential_keeps_xi1_constant():
-    spec = PotentialSpec.from_potential(1, lambda q, t: 0.5 * q[0] ** 2
-                                        + 0.0 * t)
+    spec = PotentialSpec(1, lambda q, t: 0.5 * q[0] ** 2 + 0.0 * t)
     traj, mats = transfer_matrix(spec, (1.0,), (0.0,), (0.0, 5.0))
     # g1 = 0: the first fundamental solution stays (1, 0, 0)
     first = np.array([m.Xi[:, 0] for m in mats])
