@@ -3,7 +3,8 @@
 Both are finite canonical transformations of the extended phase space: the
 time-scaling map only rescales (t, e), while the Kustaanheimo-Stiefel map is
 a point transformation on a 4-dimensional configuration space whose image
-lies in the physical q4 = 0 plane.
+lies in the physical q4 = 0 plane.  The time-scaled canonical equations in
+t' are phase.extended_rhs with k = xi(t').
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from . import numkit
 from .errors import (CollisionChartError, DomainEvaluationError,
                      IntegrationStallError)
 from .numkit import IntegratorOptions, Trajectory, value_of
-from .phase import (ExtendedPoint, HamiltonianSystem, _h_gradient,
-                    map_jacobian, symplectic_matrix)
+from .phase import (ExtendedPoint, HamiltonianSystem, map_jacobian,
+                    symplectic_matrix)
 from .transform import GeneratingFunction
 
 
@@ -87,24 +88,6 @@ def timescale_generating(spec: TimeScaleSpec, n=1) -> GeneratingFunction:
             - ep * numkit.quad_fixed(inv_xi, spec.t0, t)
 
     return GeneratingFunction(kind="F2", value=value, n=n)
-
-
-def transformed_canonical_rhs(spec: KeplerSpec, xi):
-    """Canonical equations of H' = xi(t') H(x, p) in fictitious time t'.
-
-    xi must be a pure time function; it enters H' only through its value at
-    t', so an identification like xi = x cannot leak into the derivatives.
-    Returns rhs(tprime, (x, p)) -> (dx/dt', dp/dt').
-    """
-
-    sys = spec.system()
-
-    def rhs(tp, y):
-        w = xi(tp)
-        _, dHdq, dHdp, _ = _h_gradient(sys, y[:1], y[1:2], tp)
-        return [w * dHdp[0], -w * dHdq[0]]
-
-    return rhs
 
 
 def _with_energy(spec: KeplerSpec, base: Trajectory) -> Trajectory:

@@ -468,21 +468,19 @@ def _run_potential(params, rng, opts):
         * sum(x * x for x in q))
     q0 = params["q0"] if params["q0"] is not None else [1.0] * n
     p0 = params["p0"] if params["p0"] is not None else [0.5] * n
-    traj, mats = tdsystems.transfer_matrix(spec, q0, p0,
-                                           (0.0, params["t_end"]), opts)
+    traj, Xi = tdsystems.transfer_matrix(spec, q0, p0,
+                                         (0.0, params["t_end"]), opts)
     triple0 = tdsystems.invariant_triple(q0, p0, traj.states[0, 2 * n])
     triples = np.array([tdsystems.invariant_triple(y[:n], y[n:2 * n], y[2 * n])
                         for y in traj.states])
-    Xi = np.stack([mat.Xi for mat in mats])
     dets = np.linalg.det(Xi)
     backs = (triples[:, None, :] @ Xi)[:, 0]  # row k: Xi_k^T triple_k
     det_err = float(np.max(np.abs(dets - 1.0)))
     inv_err = float(np.max(np.abs(backs - triple0)))
     # columns t, q, p, e, then the first Xi row, det and the mapped triple
     rows = np.column_stack((traj.s, traj.states[:, :2 * n + 4], dets, backs))
-    header = ("t",) + tuple(f"q{i+1}" for i in range(n)) \
-        + tuple(f"p{i+1}" for i in range(n)) \
-        + ("e", "xi1", "xi2", "xi3", "detXi", "inv1", "inv2", "inv3")
+    header = ("t",) + traj.labels[:2 * n + 1] \
+        + ("xi1", "xi2", "xi3", "detXi", "inv1", "inv2", "inv3")
     metrics = {"det_xi_error": det_err, "invariant_triple_error_max": inv_err}
     passed = det_err <= 1e-8 and inv_err <= 1e-8
     return metrics, passed, [("potential.csv", header, rows)]

@@ -129,12 +129,17 @@ def _l1_full_gradient(sys, q1, v1):
     return g[:m], g[m:]
 
 
-def euler_lagrange_residual(sys: LagrangianSystem, traj, samples=20, h=1e-5):
+_EL_SAMPLES = 20  # interior points probed by euler_lagrange_residual
+_EL_STEP = 1e-5  # its central-difference step, as a fraction of the span
+
+
+def euler_lagrange_residual(sys: LagrangianSystem, traj):
     """Residuals of the extended and conventional Euler-Lagrange equations.
 
     traj is a Trajectory in s whose state columns are (q_1..q_n, t).  The
-    velocities and the outer d/ds derivative come from the dense output
-    (cubic Hermite), so accuracy is interpolation-limited (~1e-6).
+    velocities come from the dense output (cubic Hermite); the outer d/ds of
+    the momenta is a central difference, the package's one finite
+    difference.  Accuracy is interpolation-limited (~1e-6).
     Returns (max extended residual, max conventional residual) over
     interior sample points.
     """
@@ -142,8 +147,8 @@ def euler_lagrange_residual(sys: LagrangianSystem, traj, samples=20, h=1e-5):
     m = n + 1
     s0, s1 = float(traj.s[0]), float(traj.s[-1])
     span = s1 - s0
-    pts = np.linspace(s0 + 0.05 * span, s1 - 0.05 * span, samples)
-    step = h * abs(span)
+    pts = np.linspace(s0 + 0.05 * span, s1 - 0.05 * span, _EL_SAMPLES)
+    step = _EL_STEP * abs(span)
 
     def momenta(s):
         q1 = tuple(traj.interpolate(s))

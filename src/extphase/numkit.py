@@ -265,29 +265,6 @@ def jacobian_raw(fvec, x):
     return vals, rows
 
 
-def grad_eval(f, x):
-    """Evaluate f and its exact gradient at a real vector x.
-
-    Derivatives come from dual arithmetic, not divided differences.  A
-    non-finite intermediate raises :class:`DomainEvaluationError` naming the
-    offending coordinate slot.
-    """
-    x = [float(xi) for xi in x]
-    for i, xi in enumerate(x):
-        if not math.isfinite(xi):
-            raise DomainEvaluationError(f"non-finite input at coordinate {i}: {xi}")
-    try:
-        val, grad = grad_raw(f, x)
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise DomainEvaluationError(f"evaluation failed: {exc}") from exc
-    if not math.isfinite(value_of(val)):
-        raise DomainEvaluationError(f"non-finite function value {val}")
-    for i, g in enumerate(grad):
-        if not math.isfinite(value_of(g)):
-            raise DomainEvaluationError(f"non-finite partial at coordinate {i}")
-    return float(val), np.array([float(g) for g in grad])
-
-
 def solve_linear(A, b):
     """Gaussian elimination with partial pivoting, generic over dual entries."""
     n = len(b)
@@ -505,59 +482,66 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
     the next step is shorter than it, or too short to move s at all, the
     integration raises :class:`IntegrationStallError` carrying the
     :class:`Trajectory` of the samples taken so far.  More than
-    ``MAX_STEPS`` attempted steps raise :class:`StepBudgetError`.
+    ``MAX_STEPS`` attempted steps raise :class:`StepBudgetError`, and a
+    complex value in y0 or from rhs raises :class:`DomainEvaluationError`.
     """
     if opts is None:
         opts = IntegratorOptions()
     if s1 == s0:
         raise ValueError("empty integration span")
-    y = np.array(y0, dtype=float)
-    if labels is None:
-        labels = tuple(f"y{i}" for i in range(len(y)))
-    direction = 1.0 if s1 > s0 else -1.0
-    s = float(s0)
-    K = np.empty((7, len(y)))
-    K[0] = rhs(s, y)
-    if not np.all(np.isfinite(K[0])):
-        raise DomainEvaluationError("right-hand side not finite at initial state")
-
-    ss, ys, fs = [s], [y], [K[0].copy()]
-    h = direction * min(opts.max_step, abs(s1 - s0))
-    attempts = 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while (s1 - s) * direction > 0:
-            if attempts == MAX_STEPS:
-                raise StepBudgetError(
-                    f"step budget of {MAX_STEPS} attempted steps exhausted "
-                    f"at s={s} short of {s1}")
-            attempts += 1
-            h = direction * min(abs(h), abs(s1 - s))
-            err = math.inf
-            for i in range(1, 7):
-                yi = y + h * (_A[i, :i] @ K[:i])
-                K[i] = rhs(s + _C[i] * h, yi)
-                # no later stage may be evaluated at a non-finite state
-                if not np.all(np.isfinite(K[i])):
+    try:
+        y = np.array(y0, dtype=float)
+        if labels is None:
+            labels = tuple(f"y{i}" for i in range(len(y)))
+        direction = 1.0 if s1 > s0 else -1.0
+        s = float(s0)
+        K = np.empty((7, len(y)))
+        K[0] = rhs(s, y)
+        if not np.all(np.isfinite(K[0])):
+            raise DomainEvaluationError("right-hand side not finite at initial state")
+        ss, ys, fs = [s], [y], [K[0].copy()]
+        h = direction * min(opts.max_step, abs(s1 - s0))
+        attempts = 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while (s1 - s) * direction > 0:
+                if attempts == MAX_STEPS:
+                    raise StepBudgetError(
+                        f"step budget of {MAX_STEPS} attempted steps "
+                        f"exhausted at s={s} short of {s1}")
+                attempts += 1
+                h = direction * min(abs(h), abs(s1 - s))
+                err = math.inf
+                for i in range(1, 7):
+                    yi = y + h * (_A[i, :i] @ K[:i])
+                    K[i] = rhs(s + _C[i] * h, yi)
+                    # no later stage may be evaluated at a non-finite state
+                    if not np.all(np.isfinite(K[i])):
+                        break
+                else:
+                    scale = opts.abs_tol \
+                        + opts.rel_tol * np.maximum(np.abs(y), np.abs(yi))
+                    err = math.sqrt(float(np.mean((h * (_E @ K) / scale) ** 2)))
+                if err <= 1.0:
+                    s = float(s1) if abs(s1 - (s + h)) < 1e-14 * max(1.0, abs(s1)) \
+                        else s + h
+                    y = yi  # the input of the last stage is y5
+                    K[0] = K[6]  # FSAL
+                    ss.append(s)
+                    ys.append(y)
+                    fs.append(K[0].copy())
+                # a failed stage or a non-finite error (NaN or inf) shrinks by 0.2
+                factor = 0.9 * err ** -0.2 if 0 < err < math.inf \
+                    else 5.0 if err == 0 else 0.2
+                h = direction * min(abs(h) * min(5.0, max(0.2, factor)),
+                                    opts.max_step)
+                if abs(h) < opts.min_step or s + h == s:
                     break
-            else:
-                scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y),
-                                                                 np.abs(yi))
-                err = math.sqrt(float(np.mean((h * (_E @ K) / scale) ** 2)))
-            if err <= 1.0:
-                s = float(s1) if abs(s1 - (s + h)) < 1e-14 * max(1.0, abs(s1)) \
-                    else s + h
-                y = yi  # the input of the last stage is y5
-                K[0] = K[6]  # FSAL
-                ss.append(s)
-                ys.append(y)
-                fs.append(K[0].copy())
-            # a failed stage or a non-finite error (NaN or inf) shrinks by 0.2
-            factor = 0.9 * err ** -0.2 if 0 < err < math.inf \
-                else 5.0 if err == 0 else 0.2
-            h = direction * min(abs(h) * min(5.0, max(0.2, factor)),
-                                opts.max_step)
-            if abs(h) < opts.min_step or s + h == s:
-                break
+    except TypeError as exc:
+        # numpy refuses the complex value of a plain-float field off its real
+        # domain, such as (-1.0) ** 1.5; caught once here, not per step
+        if "complex" not in str(exc):
+            raise
+        raise DomainEvaluationError(f"complex state or RHS value: {exc}") from None
 
     traj = Trajectory(s=np.array(ss), states=np.array(ys), labels=tuple(labels),
                       derivs=np.array(fs))

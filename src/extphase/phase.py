@@ -74,14 +74,6 @@ class Parameterization:
         return Parameterization(k=lambda s, pt: value)
 
 
-@dataclass(frozen=True)
-class DerivativeRecord:
-    dq: tuple
-    dp: tuple
-    dt: float
-    de: float
-
-
 def lift(q, p, t, sys):
     """Map (q, p, t) to the extended point with e = H(q, p, t) and s = 0."""
     q, p = tuple(q), tuple(p)
@@ -113,17 +105,13 @@ def _h_gradient(sys, q, p, t):
 
 
 def extended_rhs(pt, k, sys):
-    """Right-hand side of the extended canonical equations at one point."""
+    """Right-hand side of the extended canonical equations at one point,
+    in the trajectory's state order (dq.., dp.., dt, de)."""
     _, dHdq, dHdp, dHdt = _h_gradient(sys, pt.q, pt.p, pt.t)
     for g in dHdq + dHdp + [dHdt]:
         if not math.isfinite(value_of(g)):
             raise DomainEvaluationError("H derivative not finite")
-    return DerivativeRecord(
-        dq=tuple(k * g for g in dHdp),
-        dp=tuple(-k * g for g in dHdq),
-        dt=k,
-        de=k * dHdt,
-    )
+    return [k * g for g in dHdp] + [-k * g for g in dHdq] + [k, k * dHdt]
 
 
 def trajectory_labels(n):
@@ -153,9 +141,7 @@ def propagate(pt0, sys, par, s_span, opts=None):
 
     def rhs(s, y):
         pt = state_to_point(y, n, s=s)
-        k = par.k(s, pt)
-        rec = extended_rhs(pt, k, sys)
-        return list(rec.dq) + list(rec.dp) + [rec.dt, rec.de]
+        return extended_rhs(pt, par.k(s, pt), sys)
 
     return numkit.integrate(rhs, point_to_state(pt0), s0, s1, opts,
                             labels=trajectory_labels(n))

@@ -19,7 +19,7 @@ from . import numkit
 from .errors import (CoefficientSingularityError, DomainEvaluationError,
                      UnphysicalMapError)
 from .numkit import Dual, IntegratorOptions, exp, sqrt, value_of
-from .phase import ExtendedPoint, HamiltonianSystem, _h_gradient
+from .phase import ExtendedPoint, HamiltonianSystem, _h_gradient, trajectory_labels
 
 _Q2_FLOOR = 1e-12
 
@@ -110,37 +110,11 @@ class XiState:
     xiddot: float
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Fundamental-solution matrix at time t; columns are the three
-    solutions seeded by the identity, rows their 0th/1st/2nd derivatives."""
-
-    Xi: np.ndarray
-    t: float
-
-    @property
-    def det(self):
-        return float(np.linalg.det(self.Xi))
-
-
-def oscillator_propagate(spec: OscillatorSpec, q0, p0, t_span, opts=None):
-    """Canonical propagation of the oscillator with e tracked via de/dt = dH/dt."""
-    if opts is None:
-        opts = IntegratorOptions()
-    n = spec.n
-    if len(q0) != n or len(p0) != n:
+def _initial_energy(sys, q0, p0, t0):
+    """H(q0, p0, t0), after checking that q0 and p0 have the system's n."""
+    if len(q0) != sys.n or len(p0) != sys.n:
         raise ValueError("initial state dimension mismatch")
-    sys = spec.system()
-    e0 = sys.H(tuple(q0), tuple(p0), t_span[0])
-
-    def rhs(t, y):
-        _, dHdq, dHdp, dHdt = _h_gradient(sys, y[:n], y[n:2 * n], t)
-        return dHdp + [-g for g in dHdq] + [dHdt]
-
-    labels = tuple(f"q{i+1}" for i in range(n)) \
-        + tuple(f"p{i+1}" for i in range(n)) + ("e",)
-    return numkit.integrate(rhs, list(q0) + list(p0) + [e0],
-                            t_span[0], t_span[1], opts, labels=labels)
+    return sys.H(tuple(q0), tuple(p0), t0)
 
 
 def xi_oscillator_rhs(spec: OscillatorSpec, t, xs: XiState) -> XiState:
@@ -255,7 +229,7 @@ def oscillator_coupled_run(spec: OscillatorSpec, q0, p0, xi0: XiState,
         opts = IntegratorOptions()
     n = spec.n
     sys = spec.system()
-    e0 = sys.H(tuple(q0), tuple(p0), t_span[0])
+    e0 = _initial_energy(sys, q0, p0, t_span[0])
 
     def rhs(t, y):
         _, dHdq, dHdp, dHdt = _h_gradient(sys, y[:n], y[n:2 * n], t)
@@ -268,9 +242,7 @@ def oscillator_coupled_run(spec: OscillatorSpec, q0, p0, xi0: XiState,
             dHdt, value_of(dxs.xi), value_of(dxs.xidot),
             value_of(dxs.xiddot), 1.0 / xi]
 
-    labels = tuple(f"q{i+1}" for i in range(n)) \
-        + tuple(f"p{i+1}" for i in range(n)) \
-        + ("e", "xi", "xid", "xidd", "tprime")
+    labels = trajectory_labels(n)[:2 * n] + ("e", "xi", "xid", "xidd", "tprime")
     y0 = list(q0) + list(p0) + [e0, xi0.xi, xi0.xidot, xi0.xiddot, 0.0]
     return numkit.integrate(rhs, y0, t_span[0], t_span[1], opts, labels=labels)
 
@@ -305,17 +277,16 @@ def transfer_matrix(spec: PotentialSpec, q0, p0, t_span, opts=None):
     """Co-integrate the canonical equations with the three fundamental
     xi solutions seeded by the identity.
 
-    Returns (Trajectory, list of TransferMatrix).  State layout:
-    (q.., p.., e, Xi row-major).  At every time,
+    Returns (Trajectory, Xi), where Xi is the (N, 3, 3) view of the
+    trajectory's Xi columns: in each sample's matrix the columns are the
+    three solutions and the rows their 0th/1st/2nd derivatives.  State
+    layout: (q.., p.., e, Xi row-major).  At every time,
     Xi^T (e, -q.p/2, q^2/4) equals the initial triple.
     """
     if opts is None:
         opts = IntegratorOptions()
     n = spec.n
-    if len(q0) != n or len(p0) != n:
-        raise ValueError("initial state dimension mismatch")
-    sys = spec.system()
-    e0 = sys.H(tuple(q0), tuple(p0), t_span[0])
+    e0 = _initial_energy(spec.system(), q0, p0, t_span[0])
 
     def rhs(t, y):
         q = y[:n].tolist()
@@ -324,14 +295,11 @@ def transfer_matrix(spec: PotentialSpec, q0, p0, t_span, opts=None):
         return y[n:2 * n].tolist() + [-g for g in grad[:n]] + [grad[n]] \
             + dXi.ravel().tolist()
 
-    labels = tuple(f"q{i+1}" for i in range(n)) \
-        + tuple(f"p{i+1}" for i in range(n)) + ("e",) \
+    labels = trajectory_labels(n)[:2 * n] + ("e",) \
         + tuple(f"xi{r+1}{c+1}" for r in range(3) for c in range(3))
     y0 = list(q0) + list(p0) + [e0] + [1.0, 0.0, 0.0,
                                        0.0, 1.0, 0.0,
                                        0.0, 0.0, 1.0]
     traj = numkit.integrate(rhs, y0, t_span[0], t_span[1], opts,
                             labels=labels)
-    Xis = traj.states[:, 2 * n + 1:].reshape(-1, 3, 3).copy()
-    mats = [TransferMatrix(Xi=Xi, t=float(s)) for Xi, s in zip(Xis, traj.s)]
-    return traj, mats
+    return traj, traj.states[:, 2 * n + 1:].reshape(-1, 3, 3)

@@ -125,7 +125,7 @@ def _pair_gradient(F, first, unprimed, primed, s, wrt_primed):
     return numkit.grad_raw(f, primed if wrt_primed else unprimed)[1]
 
 
-def _apply(F, pt, seed=None, max_iter=50):
+def _apply(F, pt, seed=None):
     """Solve the rule set of F's kind at pt.
 
     The unknowns are the image's primed pair, fixed by dF/d(unprimed) =
@@ -146,7 +146,7 @@ def _apply(F, pt, seed=None, max_iter=50):
         return [g - w for g, w in zip(dU, target)]
 
     u0 = seed if seed is not None else _pair(pt, primed)
-    u = numkit.newton_solve(residual, u0, max_iter=max_iter)
+    u = numkit.newton_solve(residual, u0)
     dP = _pair_gradient(F, first, known, u, s, wrt_primed=True)
     image = _point(primed, u, _flip(primed, [-g for g in dP]), s)
     return image, _blocks(first, known, u)

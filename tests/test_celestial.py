@@ -10,12 +10,12 @@ from extphase.celestial import (KeplerSpec, KsPoint, TimeScaleSpec,
                                 kepler_direct, kepler_regularized,
                                 ks_bilinear, ks_extended_map, ks_generating,
                                 ks_map, ks_symplectic_residual,
-                                timescale_generating,
-                                transformed_canonical_rhs)
+                                timescale_generating)
 from extphase.errors import (CollisionChartError, DomainEvaluationError,
                              IntegrationStallError)
 from extphase.numkit import IntegratorOptions, value_of
-from extphase.phase import ExtendedPoint, symplectic_residual
+from extphase.phase import (ExtendedPoint, extended_rhs, lift,
+                            symplectic_residual)
 from extphase.transform import apply_generating, restriction_report
 
 # the closed-form collision orbit: e = -1/2, K^2 = 1, x = 1 + cos t'
@@ -100,9 +100,10 @@ def test_regularized_energy_identity():
 
 
 def test_transformed_rhs_keeps_xi_a_pure_time_function():
-    # with xi(t') = const = 2 the fictitious flow is just twice the real one
-    rhs = transformed_canonical_rhs(ORBIT, lambda tp: 2.0)
-    dy = rhs(0.0, [2.0, 0.5])
+    # with xi(t') = const = 2 the fictitious flow is just twice the real one:
+    # the extended flow with k = xi(t'), which reads t' alone
+    pt = lift((2.0,), (0.5,), 0.0, ORBIT.system())
+    dy = extended_rhs(pt, 2.0, ORBIT.system())
     assert value_of(dy[0]) == pytest.approx(2.0 * 0.5, abs=1e-13)
     assert value_of(dy[1]) == pytest.approx(-2.0 * (1.0 / 4.0), abs=1e-13)
 

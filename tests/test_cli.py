@@ -248,14 +248,14 @@ def test_potential_columns_match_per_sample_reference(monkeypatch):
     metrics, passed, [(_, _, rows)] = _run_potential(
         cfg.params, random.Random(0), cfg.tolerances)
     assert passed
-    (traj, mats), = seen
+    (traj, Xi), = seen
     n = 2
     triple0 = tdsystems.invariant_triple(traj.states[0, :n],
                                          traj.states[0, n:2 * n],
                                          traj.states[0, 2 * n])
-    dets = [mat.det for mat in mats]
-    backs = [mat.Xi.T @ tdsystems.invariant_triple(y[:n], y[n:2 * n], y[2 * n])
-             for y, mat in zip(traj.states, mats)]
+    dets = [float(np.linalg.det(m)) for m in Xi]
+    backs = [m.T @ tdsystems.invariant_triple(y[:n], y[n:2 * n], y[2 * n])
+             for y, m in zip(traj.states, Xi)]
     assert rows[:, 2 * n + 5].tolist() == dets
     assert np.array_equal(rows[:, 2 * n + 6:], np.array(backs))
     assert metrics["det_xi_error"] == max(abs(d - 1.0) for d in dets)

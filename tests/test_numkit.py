@@ -14,23 +14,23 @@ from extphase.errors import (DegeneracyError, DomainEvaluationError,
                              ImplicitSolveError, IntegrationStallError,
                              StepBudgetError)
 from extphase.numkit import (Dual, IntegratorOptions, Trajectory, cos, exp,
-                             grad_eval, grad_raw, integrate, jacobian_raw,
-                             log, newton_solve, quad_fixed, sin, solve_linear,
-                             sqrt, value_of)
+                             grad_raw, integrate, jacobian_raw, log,
+                             newton_solve, quad_fixed, sin, solve_linear, sqrt,
+                             value_of)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
 
 
 def test_grad_eval_polynomial():
-    val, g = grad_eval(lambda x: x[0] ** 2 + 3.0 * x[0] * x[1], [2.0, 5.0])
+    val, g = grad_raw(lambda x: x[0] ** 2 + 3.0 * x[0] * x[1], [2.0, 5.0])
     assert val == pytest.approx(34.0, abs=1e-14)
     assert g[0] == pytest.approx(2 * 2.0 + 3 * 5.0, abs=1e-14)
     assert g[1] == pytest.approx(6.0, abs=1e-14)
 
 
 def test_grad_eval_transcendental():
-    val, g = grad_eval(lambda x: sin(x[0]) * exp(x[1]) + log(x[0]), [1.3, 0.4])
+    val, g = grad_raw(lambda x: sin(x[0]) * exp(x[1]) + log(x[0]), [1.3, 0.4])
     assert val == pytest.approx(math.sin(1.3) * math.exp(0.4) + math.log(1.3),
                                 abs=1e-14)
     assert g[0] == pytest.approx(math.cos(1.3) * math.exp(0.4) + 1 / 1.3,
@@ -47,13 +47,13 @@ def test_product_rule(a, b):
 
 
 def test_quotient_and_power():
-    _, g = grad_eval(lambda x: x[0] / x[1] + x[0] ** 3, [2.0, 4.0])
+    _, g = grad_raw(lambda x: x[0] / x[1] + x[0] ** 3, [2.0, 4.0])
     assert g[0] == pytest.approx(1 / 4.0 + 3 * 4.0, abs=1e-13)
     assert g[1] == pytest.approx(-2.0 / 16.0, abs=1e-13)
 
 
 def test_sqrt_chain():
-    _, g = grad_eval(lambda x: sqrt(1.0 + x[0] ** 2), [3.0])
+    _, g = grad_raw(lambda x: sqrt(1.0 + x[0] ** 2), [3.0])
     assert g[0] == pytest.approx(3.0 / math.sqrt(10.0), abs=1e-14)
 
 
@@ -94,11 +94,11 @@ def test_dual_eps_accepts_any_iterable():
 
 def test_non_integer_power_of_negative_base_raises():
     with pytest.raises(DomainEvaluationError):
-        grad_eval(lambda x: x[0] ** 0.5, [-2.0])
+        grad_raw(lambda x: x[0] ** 0.5, [-2.0])
     with pytest.raises(DomainEvaluationError):
         Dual(-2.0, (1.0,)) ** -1.5
     # integer exponents, int or float, stay real at a negative base
-    _, g = grad_eval(lambda x: x[0] ** 3 + x[0] ** 2.0, [-2.0])
+    _, g = grad_raw(lambda x: x[0] ** 3 + x[0] ** 2.0, [-2.0])
     assert g[0] == 3 * 4.0 + 2 * -2.0
 
 
@@ -282,6 +282,15 @@ def test_integrate_step_budget(monkeypatch):
     monkeypatch.setattr(numkit, "MAX_STEPS", 1000)
     tr = integrate(lambda s, y: [y[1], -y[0]], [1.0, 0.0], 0.0, 5.0)
     assert tr.s[-1] == 5.0
+
+
+def test_integrate_complex_rhs_value_raises_domain_error():
+    # a plain-float field past its real domain: (1 - s) ** 0.5 for s > 1
+    with pytest.raises(DomainEvaluationError):
+        integrate(lambda s, y: [(1.0 - float(s)) ** 0.5], [0.0], 0.0, 2.0)
+    # any other TypeError from the RHS passes through as it is
+    with pytest.raises(TypeError):
+        integrate(lambda s, y: [object()], [0.0], 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import extphase
 from extphase.errors import DomainEvaluationError
 from extphase.numkit import value_of
 from extphase.phase import (ExtendedPoint, HamiltonianSystem, Parameterization,
@@ -65,11 +66,11 @@ def test_extended_value_vanishes_on_shell():
 def test_extended_rhs_matches_hand_derivatives():
     sys = harmonic()
     pt = ExtendedPoint(q=(2.0,), p=(3.0,), t=0.0, e=6.5)
-    rec = extended_rhs(pt, 1.0, sys)
-    assert value_of(rec.dq[0]) == pytest.approx(3.0, abs=1e-14)
-    assert value_of(rec.dp[0]) == pytest.approx(-2.0, abs=1e-14)
-    assert rec.dt == 1.0
-    assert value_of(rec.de) == pytest.approx(0.0, abs=1e-14)
+    dq, dp, dt, de = extended_rhs(pt, 1.0, sys)
+    assert value_of(dq) == pytest.approx(3.0, abs=1e-14)
+    assert value_of(dp) == pytest.approx(-2.0, abs=1e-14)
+    assert dt == 1.0
+    assert value_of(de) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_state_point_roundtrip():
@@ -159,3 +160,20 @@ def test_noncanonical_map_detected():
 
     pt = ExtendedPoint(q=(0.3,), p=(-1.2,), t=0.7, e=0.1)
     assert symplectic_residual(squash, pt) > 0.5
+
+
+def test_public_surface_is_fixed():
+    assert sorted(extphase.__all__) == [
+        "CoefficientSingularityError", "CollisionChartError",
+        "DegeneracyError", "DegenerateTimeError", "DomainEvaluationError",
+        "Dual", "ExtendedPoint", "ExtphaseError", "GeneratingFunction",
+        "HamiltonianSystem", "ImplicitSolveError", "IntegrationStallError",
+        "IntegratorOptions", "Parameterization", "SuperluminalError",
+        "Trajectory", "TransformReport", "UnphysicalMapError",
+        "apply_generating", "embed_conventional", "extended_value",
+        "hessian_det", "integrate", "legendre_convert", "lift",
+        "poisson_extended", "propagate", "restriction_report",
+        "symplectic_residual", "transform_hamiltonian", "value_of",
+    ]
+    for name in extphase.__all__:
+        assert getattr(extphase, name) is not None

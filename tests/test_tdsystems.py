@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from extphase.errors import CoefficientSingularityError, UnphysicalMapError
+from extphase.errors import (CoefficientSingularityError,
+                             DomainEvaluationError, UnphysicalMapError)
 from extphase.numkit import IntegratorOptions, value_of
-from extphase.phase import ExtendedPoint, symplectic_residual
-from extphase.tdsystems import (OscillatorSpec, PotentialSpec, TransferMatrix,
-                                XiState, angular_invariants, invariant_triple,
+from extphase.phase import (ExtendedPoint, Parameterization, lift, propagate,
+                            symplectic_residual)
+from extphase.tdsystems import (OscillatorSpec, PotentialSpec, XiState,
+                                angular_invariants, invariant_triple,
                                 leach_invariant, oscillator_canonical_map,
                                 oscillator_coupled_run, oscillator_map_function,
-                                oscillator_propagate, time_derivatives,
-                                transfer_matrix, xi_general_rhs,
-                                xi_oscillator_rhs, xi_positivity_residual)
+                                time_derivatives, transfer_matrix,
+                                xi_general_rhs, xi_oscillator_rhs,
+                                xi_positivity_residual)
 
 def modulated(n=2, eps=0.1, f=0.05):
     from extphase.numkit import sin
@@ -47,12 +49,14 @@ def test_coefficients_by_dual_seeding():
 
 
 def test_oscillator_propagate_constant_case():
-    spec = constant()
-    tr = oscillator_propagate(spec, (1.0,), (0.0,), (0.0, 3.0))
+    # canonical propagation is the extended flow with k = 1
+    sys = constant().system()
+    tr = propagate(lift((1.0,), (0.0,), 0.0, sys), sys,
+                   Parameterization.constant(1.0), (0.0, 3.0))
     assert tr.column("q1")[-1] == pytest.approx(math.cos(3.0), abs=1e-9)
     assert np.max(np.abs(tr.column("e") - 0.5)) < 1e-10
     with pytest.raises(ValueError):
-        oscillator_propagate(spec, (1.0, 2.0), (0.0,), (0.0, 1.0))
+        lift((1.0, 2.0), (0.0,), 0.0, sys)
 
 
 def test_constant_omega_xi_solutions():
@@ -207,17 +211,17 @@ def test_transfer_matrix_unit_determinant_and_invariants():
     from extphase.numkit import sin
     spec = PotentialSpec(
         1, lambda q, t: 0.5 * (1.0 + 0.1 * sin(t)) * q[0] ** 2)
-    traj, mats = transfer_matrix(spec, (1.0,), (0.5,), (0.0, 8.0))
-    assert isinstance(mats[0], TransferMatrix)
-    assert np.allclose(mats[0].Xi, np.eye(3), atol=1e-14)
+    traj, Xi = transfer_matrix(spec, (1.0,), (0.5,), (0.0, 8.0))
+    assert Xi.shape == (len(traj), 3, 3)
+    assert np.allclose(Xi[0], np.eye(3), atol=1e-14)
     triple0 = invariant_triple((1.0,), (0.5,),
                                float(traj.column("e")[0]))
     for k in range(0, len(traj), 40):
-        m = mats[k]
-        assert abs(m.det - 1.0) < 1e-9
+        m = Xi[k]
+        assert abs(np.linalg.det(m) - 1.0) < 1e-9
         y = traj.states[k]
         triple = invariant_triple((y[0],), (y[1],), y[2])
-        assert np.max(np.abs(m.Xi.T @ triple - triple0)) < 1e-9
+        assert np.max(np.abs(m.T @ triple - triple0)) < 1e-9
 
 
 def test_transfer_matrix_evaluates_potential_once_per_rhs(monkeypatch):
@@ -246,7 +250,21 @@ def test_transfer_matrix_evaluates_potential_once_per_rhs(monkeypatch):
 
 def test_autonomous_potential_keeps_xi1_constant():
     spec = PotentialSpec(1, lambda q, t: 0.5 * q[0] ** 2 + 0.0 * t)
-    traj, mats = transfer_matrix(spec, (1.0,), (0.0,), (0.0, 5.0))
+    traj, Xi = transfer_matrix(spec, (1.0,), (0.0,), (0.0, 5.0))
     # g1 = 0: the first fundamental solution stays (1, 0, 0)
-    first = np.array([m.Xi[:, 0] for m in mats])
+    first = Xi[:, :, 0]
     assert np.max(np.abs(first - np.array([1.0, 0.0, 0.0]))) < 1e-10
+
+
+def test_transfer_matrix_complex_initial_energy_raises():
+    # (-1.0) ** 1.5 of plain floats is complex, so e0 is too
+    spec = PotentialSpec(1, lambda q, t: q[0] ** 1.5)
+    with pytest.raises(DomainEvaluationError):
+        transfer_matrix(spec, [-1.0], [0.5], (0.0, 0.1))
+
+
+def test_oscillator_coupled_run_checks_dimensions():
+    xi0 = XiState(xi=1.0, xidot=0.0, xiddot=0.0)
+    for q0, p0 in (((1.0, 0.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (0.0,))):
+        with pytest.raises(ValueError, match="initial state dimension"):
+            oscillator_coupled_run(modulated(), q0, p0, xi0, (0.0, 1.0))
