@@ -11,6 +11,7 @@ implicit solves are obtained.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -196,6 +197,8 @@ def exp(x):
     if isinstance(x, Dual):
         r = exp(x.val)
         return _chain(x, r, r)
+    if isinstance(x, _Leaf):
+        return x._record("exp({})", x)
     return math.exp(x)
 
 
@@ -211,12 +214,16 @@ def log(x):
 def sin(x):
     if isinstance(x, Dual):
         return _chain(x, sin(x.val), cos(x.val))
+    if isinstance(x, _Leaf):
+        return x._record("sin({})", x)
     return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return _chain(x, cos(x.val), -sin(x.val))
+    if isinstance(x, _Leaf):
+        return x._record("cos({})", x)
     return math.cos(x)
 
 
@@ -263,6 +270,144 @@ def jacobian_raw(fvec, x):
             vals.append(y)
             rows.append([0.0] * m)
     return vals, rows
+
+
+# ---------------------------------------------------------------------------
+# straight-line kernels: Dual code recorded once over symbolic leaves
+# ---------------------------------------------------------------------------
+
+# a trace that records more operations gives up, so a large field keeps the
+# Dual path rather than compiling a huge kernel
+TRACE_MAX_OPS = 10000
+
+_SCALARS = (int, float)  # float takes in np.float64
+
+
+class _TraceAbort(BaseException):
+    """A value-dependent step inside `trace`; not an Exception, so a field's
+    own ``except Exception`` cannot swallow it."""
+
+
+def _abort(*args):
+    raise _TraceAbort
+
+
+def _item(x):
+    """x as numpy hands it to a Dual's reflected operator: a numpy scalar
+    becomes the Python scalar of the same value."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def _binary(template, name):
+    """A leaf's operator `name` and its reflected form."""
+    def op(self, other):
+        if isinstance(other, (_Leaf, *_SCALARS)):
+            return self._record(template, self, other)
+        if isinstance(other, Dual):
+            # a numpy scalar on the left of a Dual reaches the Dual's
+            # reflected method as a Python scalar: record that hand-over
+            return getattr(other, f"__r{name}__")(self._record("_item({})", self))
+        return NotImplemented
+
+    def rop(self, other):
+        if isinstance(other, (_Leaf, *_SCALARS)):
+            return self._record(template, other, self)
+        return NotImplemented
+    return op, rop
+
+
+class _Leaf:
+    """A symbolic float inside `trace`: every operation on it appends one
+    line to the shared tape, and any step that needs its value aborts."""
+
+    __slots__ = ("tape", "name")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected methods
+
+    def __init__(self, tape, name):
+        self.tape = tape
+        self.name = name
+
+    def _record(self, template, *args):
+        tape = self.tape
+        if len(tape) == TRACE_MAX_OPS:
+            raise _TraceAbort
+        out = _Leaf(tape, f"v{len(tape)}")
+        tape.append((out.name, template, args))
+        return out
+
+    __add__, __radd__ = _binary("{} + {}", "add")
+    __sub__, __rsub__ = _binary("{} - {}", "sub")
+    __mul__, __rmul__ = _binary("{} * {}", "mul")
+    __truediv__, __rtruediv__ = _binary("{} / {}", "truediv")
+
+    def __pow__(self, k):
+        # an integral exponent keeps a real base real; any other may not
+        if not (isinstance(k, _SCALARS) and float(k).is_integer()):
+            raise _TraceAbort
+        return self._record("{} ** {}", self, k)
+
+    def __neg__(self):
+        return self._record("-{}", self)
+
+    # any other operation raises TypeError, which ends the trace as well
+    __abs__ = __bool__ = __float__ = __int__ = __index__ = _abort
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _abort
+
+
+def trace(fn, m):
+    """fn recorded once over m symbolic leaves and compiled into one
+    straight-line function of a sequence of m floats; None if the trace
+    aborts.
+
+    fn is Dual code, such as `grad_raw` of a field or nested
+    ``time_derivatives``, returning scalars in nested tuples and lists; it
+    must be a pure function of its m inputs, since whatever else it reads
+    is recorded as a constant.
+
+    The kernel runs fn's float operations in fn's order on the very
+    argument objects it is given, so its results are bit-identical to fn's,
+    and a float operation that raises in fn (ZeroDivisionError,
+    OverflowError) raises in the kernel.  The trace aborts on a step that
+    needs a value (a comparison, ``abs``, `value_of`, ``float()``, a
+    non-integer power, the domain check of `sqrt` or `log`), on more than
+    ``TRACE_MAX_OPS`` operations, and on any exception fn raises.
+    Constants keep their type and value: a finite float or an int is
+    written out, any other one (inf, nan, np.float64) is bound by name.
+    """
+    tape, names = [], {"exp": math.exp, "sin": math.sin, "cos": math.cos,
+                       "_item": _item}
+
+    def ref(c):
+        if isinstance(c, _Leaf):
+            return c.name
+        if type(c) is int or type(c) is float and math.isfinite(c):
+            return f"({c!r})"
+        name = f"c{len(names)}"
+        names[name] = c
+        return name
+
+    def emit(out):
+        if type(out) is tuple:
+            return "(" + "".join(emit(o) + ", " for o in out) + ")"
+        if type(out) is list:
+            return "[" + ", ".join(map(emit, out)) + "]"
+        if not isinstance(out, (_Leaf, *_SCALARS)):
+            raise _TraceAbort  # a Dual, or any other object
+        return ref(out)
+
+    leaves = [_Leaf(tape, f"x{i}") for i in range(m)]
+    try:
+        ret = emit(fn(leaves))
+    except (_TraceAbort, Exception):
+        # the caller keeps fn itself, which raises any such error again
+        return None
+    lines = ["def kernel(x):",
+             "    (" + "".join(f"{x.name}, " for x in leaves) + ") = x"]
+    lines += [f"    {out} = " + template.format(*map(ref, args))
+              for out, template, args in tape]
+    lines.append(f"    return {ret}")
+    exec(compile("\n".join(lines), "<trace>", "exec"), names)
+    return names["kernel"]
 
 
 def solve_linear(A, b):
@@ -469,6 +614,9 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 # local error estimate y5 - y4 = h * (_E @ K), free of the cancellation
 _E = _A[6] - _B4
 
+# np.exceptions is numpy >= 1.25; pyproject allows 1.23
+_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
+
 # attempted steps (accepted or rejected) after which integrate gives up
 MAX_STEPS = 10 ** 6
 
@@ -490,57 +638,64 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
     if s1 == s0:
         raise ValueError("empty integration span")
     try:
-        y = np.array(y0, dtype=float)
-        if labels is None:
-            labels = tuple(f"y{i}" for i in range(len(y)))
-        direction = 1.0 if s1 > s0 else -1.0
-        s = float(s0)
-        K = np.empty((7, len(y)))
-        K[0] = rhs(s, y)
-        if not np.all(np.isfinite(K[0])):
-            raise DomainEvaluationError("right-hand side not finite at initial state")
-        ss, ys, fs = [s], [y], [K[0].copy()]
-        h = direction * min(opts.max_step, abs(s1 - s0))
-        attempts = 0
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            while (s1 - s) * direction > 0:
-                if attempts == MAX_STEPS:
-                    raise StepBudgetError(
-                        f"step budget of {MAX_STEPS} attempted steps "
-                        f"exhausted at s={s} short of {s1}")
-                attempts += 1
-                h = direction * min(abs(h), abs(s1 - s))
-                err = math.inf
-                for i in range(1, 7):
-                    yi = y + h * (_A[i, :i] @ K[:i])
-                    K[i] = rhs(s + _C[i] * h, yi)
-                    # no later stage may be evaluated at a non-finite state
-                    if not np.all(np.isfinite(K[i])):
+        with warnings.catch_warnings():
+            # numpy casts a complex array into the float state or stage
+            # array with only a ComplexWarning: an error for the whole call
+            warnings.simplefilter("error", _ComplexWarning)
+            y = np.array(y0, dtype=float)
+            if labels is None:
+                labels = tuple(f"y{i}" for i in range(len(y)))
+            direction = 1.0 if s1 > s0 else -1.0
+            s = float(s0)
+            K = np.empty((7, len(y)))
+            K[0] = rhs(s, y)
+            if not np.all(np.isfinite(K[0])):
+                raise DomainEvaluationError(
+                    "right-hand side not finite at initial state")
+            ss, ys, fs = [s], [y], [K[0].copy()]
+            h = direction * min(opts.max_step, abs(s1 - s0))
+            attempts = 0
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                while (s1 - s) * direction > 0:
+                    if attempts == MAX_STEPS:
+                        raise StepBudgetError(
+                            f"step budget of {MAX_STEPS} attempted steps "
+                            f"exhausted at s={s} short of {s1}")
+                    attempts += 1
+                    h = direction * min(abs(h), abs(s1 - s))
+                    err = math.inf
+                    for i in range(1, 7):
+                        yi = y + h * (_A[i, :i] @ K[:i])
+                        K[i] = rhs(s + _C[i] * h, yi)
+                        # no later stage may be evaluated at a non-finite state
+                        if not np.all(np.isfinite(K[i])):
+                            break
+                    else:
+                        scale = opts.abs_tol \
+                            + opts.rel_tol * np.maximum(np.abs(y), np.abs(yi))
+                        err = math.sqrt(float(np.mean((h * (_E @ K) / scale) ** 2)))
+                    if err <= 1.0:
+                        s = float(s1) if abs(s1 - (s + h)) < 1e-14 * max(1.0, abs(s1)) \
+                            else s + h
+                        y = yi  # the input of the last stage is y5
+                        K[0] = K[6]  # FSAL
+                        ss.append(s)
+                        ys.append(y)
+                        fs.append(K[0].copy())
+                    # a failed stage or a non-finite error (NaN or inf) shrinks by 0.2
+                    factor = 0.9 * err ** -0.2 if 0 < err < math.inf \
+                        else 5.0 if err == 0 else 0.2
+                    h = direction * min(abs(h) * min(5.0, max(0.2, factor)),
+                                        opts.max_step)
+                    if abs(h) < opts.min_step or s + h == s:
                         break
-                else:
-                    scale = opts.abs_tol \
-                        + opts.rel_tol * np.maximum(np.abs(y), np.abs(yi))
-                    err = math.sqrt(float(np.mean((h * (_E @ K) / scale) ** 2)))
-                if err <= 1.0:
-                    s = float(s1) if abs(s1 - (s + h)) < 1e-14 * max(1.0, abs(s1)) \
-                        else s + h
-                    y = yi  # the input of the last stage is y5
-                    K[0] = K[6]  # FSAL
-                    ss.append(s)
-                    ys.append(y)
-                    fs.append(K[0].copy())
-                # a failed stage or a non-finite error (NaN or inf) shrinks by 0.2
-                factor = 0.9 * err ** -0.2 if 0 < err < math.inf \
-                    else 5.0 if err == 0 else 0.2
-                h = direction * min(abs(h) * min(5.0, max(0.2, factor)),
-                                    opts.max_step)
-                if abs(h) < opts.min_step or s + h == s:
-                    break
     except TypeError as exc:
         # numpy refuses the complex value of a plain-float field off its real
         # domain, such as (-1.0) ** 1.5; caught once here, not per step
         if "complex" not in str(exc):
             raise
+        raise DomainEvaluationError(f"complex state or RHS value: {exc}") from None
+    except _ComplexWarning as exc:
         raise DomainEvaluationError(f"complex state or RHS value: {exc}") from None
 
     traj = Trajectory(s=np.array(ss), states=np.array(ys), labels=tuple(labels),

@@ -93,21 +93,27 @@ def extended_value(pt, k, sys):
     return k * (h - pt.e)
 
 
-def _h_gradient(sys, q, p, t):
-    """H and its partials (dH/dq, dH/dp, dH/dt) at (q, p, t) by dual seeding."""
+def _h_grad(sys, n):
+    """x -> `grad_raw` of H at the flat point x = (q.., p.., t)."""
+    def grad(x):
+        return numkit.grad_raw(lambda v: sys.H(v[:n], v[n:2 * n], v[2 * n]), x)
+    return grad
+
+
+def _h_gradient(sys, q, p, t, grad=None):
+    """H and its partials (dH/dq, dH/dp, dH/dt) at (q, p, t) by dual seeding;
+    grad, when given, is `_h_grad` or a kernel traced from it."""
     n = len(q)
-
-    def f(x):
-        return sys.H(x[:n], x[n:2 * n], x[2 * n])
-
-    val, grad = numkit.grad_raw(f, list(q) + list(p) + [t])
-    return val, grad[:n], grad[n:2 * n], grad[2 * n]
+    val, g = (grad or _h_grad(sys, n))([*q, *p, t])
+    return val, g[:n], g[n:2 * n], g[2 * n]
 
 
-def extended_rhs(pt, k, sys):
+def extended_rhs(pt, k, sys, grad=None):
     """Right-hand side of the extended canonical equations at one point,
-    in the trajectory's state order (dq.., dp.., dt, de)."""
-    _, dHdq, dHdp, dHdt = _h_gradient(sys, pt.q, pt.p, pt.t)
+    in the trajectory's state order (dq.., dp.., dt, de).  grad, when
+    given, takes the place of ``grad_raw`` of H at the flat (q.., p.., t);
+    `propagate` passes a kernel traced from it."""
+    _, dHdq, dHdp, dHdt = _h_gradient(sys, pt.q, pt.p, pt.t, grad)
     for g in dHdq + dHdp + [dHdt]:
         if not math.isfinite(value_of(g)):
             raise DomainEvaluationError("H derivative not finite")
@@ -133,15 +139,19 @@ def propagate(pt0, sys, par, s_span, opts=None):
 
     The trajectory state is (q.., p.., t, e); extended_value is constant
     along it, and on-shell starts stay on-shell to integration tolerance.
+    The H-gradient is a kernel traced once from `grad_raw` (the Dual path
+    when H does not trace).
     """
     if opts is None:
         opts = IntegratorOptions()
     n = pt0.n
     s0, s1 = s_span
+    grad = _h_grad(sys, n)
+    grad = numkit.trace(grad, 2 * n + 1) or grad
 
     def rhs(s, y):
         pt = state_to_point(y, n, s=s)
-        return extended_rhs(pt, par.k(s, pt), sys)
+        return extended_rhs(pt, par.k(s, pt), sys, grad)
 
     return numkit.integrate(rhs, point_to_state(pt0), s0, s1, opts,
                             labels=trajectory_labels(n))

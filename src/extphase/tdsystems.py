@@ -19,7 +19,8 @@ from . import numkit
 from .errors import (CoefficientSingularityError, DomainEvaluationError,
                      UnphysicalMapError)
 from .numkit import Dual, IntegratorOptions, exp, sqrt, value_of
-from .phase import ExtendedPoint, HamiltonianSystem, _h_gradient, trajectory_labels
+from .phase import (ExtendedPoint, HamiltonianSystem, _h_grad, _h_gradient,
+                    trajectory_labels)
 
 _Q2_FLOOR = 1e-12
 
@@ -122,7 +123,12 @@ def xi_oscillator_rhs(spec: OscillatorSpec, t, xs: XiState) -> XiState:
 
     xiddd = -xid (4 omega^2 - 2 fdot - f^2) - xi (2 d(omega^2)/dt - fddot - f fdot)
     """
-    w2, dw2, _, f, fd, fdd = spec.coefficients(t)
+    return _xi_rhs(spec.coefficients(t), xs)
+
+
+def _xi_rhs(coefficients, xs):
+    """`xi_oscillator_rhs` from the tuple of `OscillatorSpec.coefficients`."""
+    w2, dw2, _, f, fd, fdd = coefficients
     for v in (w2, dw2, f, fd, fdd):
         if not math.isfinite(value_of(v)):
             raise DomainEvaluationError("oscillator coefficients not finite")
@@ -224,17 +230,26 @@ def oscillator_coupled_run(spec: OscillatorSpec, q0, p0, xi0: XiState,
     State layout: (q.., p.., e, xi, xid, xidd, tprime) with
     dtprime/dt = 1/xi.  This closes the auxiliary equation jointly with the
     canonical equations, which is the only way its coefficients are defined.
+    The H-gradient and the coefficients are kernels traced once from their
+    Dual code (that code itself when it does not trace).
     """
     if opts is None:
         opts = IntegratorOptions()
     n = spec.n
     sys = spec.system()
     e0 = _initial_energy(sys, q0, p0, t_span[0])
+    grad = _h_grad(sys, n)
+    grad = numkit.trace(grad, 2 * n + 1) or grad
+
+    def coefficients(x):
+        return spec.coefficients(x[0])
+
+    coefficients = numkit.trace(coefficients, 1) or coefficients
 
     def rhs(t, y):
-        _, dHdq, dHdp, dHdt = _h_gradient(sys, y[:n], y[n:2 * n], t)
+        _, dHdq, dHdp, dHdt = _h_gradient(sys, y[:n], y[n:2 * n], t, grad)
         xs = XiState(xi=y[2 * n + 1], xidot=y[2 * n + 2], xiddot=y[2 * n + 3])
-        dxs = xi_oscillator_rhs(spec, t, xs)
+        dxs = _xi_rhs(coefficients((t,)), xs)
         xi = y[2 * n + 1]
         if xi <= 0:
             return [math.nan] * (2 * n + 5)
@@ -281,16 +296,23 @@ def transfer_matrix(spec: PotentialSpec, q0, p0, t_span, opts=None):
     trajectory's Xi columns: in each sample's matrix the columns are the
     three solutions and the rows their 0th/1st/2nd derivatives.  State
     layout: (q.., p.., e, Xi row-major).  At every time,
-    Xi^T (e, -q.p/2, q^2/4) equals the initial triple.
+    Xi^T (e, -q.p/2, q^2/4) equals the initial triple.  V's derivatives
+    are a kernel traced once from `PotentialSpec.derivatives` (that method
+    itself when V does not trace).
     """
     if opts is None:
         opts = IntegratorOptions()
     n = spec.n
     e0 = _initial_energy(spec.system(), q0, p0, t_span[0])
 
+    def derivatives(x):
+        return spec.derivatives(x[:n], x[n])
+
+    derivatives = numkit.trace(derivatives, n + 1) or derivatives
+
     def rhs(t, y):
         q = y[:n].tolist()
-        V, grad = spec.derivatives(q, float(t))
+        V, grad = derivatives(q + [float(t)])
         dXi = xi_general_rhs(q, V, grad) @ y[2 * n + 1:].reshape(3, 3)
         return y[n:2 * n].tolist() + [-g for g in grad[:n]] + [grad[n]] \
             + dXi.ravel().tolist()

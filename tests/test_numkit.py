@@ -6,7 +6,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extphase import numkit
@@ -16,7 +16,8 @@ from extphase.errors import (DegeneracyError, DomainEvaluationError,
 from extphase.numkit import (Dual, IntegratorOptions, Trajectory, cos, exp,
                              grad_raw, integrate, jacobian_raw, log,
                              newton_solve, quad_fixed, sin, solve_linear, sqrt,
-                             value_of)
+                             trace, value_of)
+from extphase.tdsystems import time_derivatives
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -293,6 +294,15 @@ def test_integrate_complex_rhs_value_raises_domain_error():
         integrate(lambda s, y: [object()], [0.0], 0.0, 1.0)
 
 
+def test_integrate_complex_numpy_value_raises_domain_error():
+    # numpy casts a complex array into the float state or stage array with
+    # only a ComplexWarning, which would drop the imaginary part
+    with pytest.raises(DomainEvaluationError):
+        integrate(lambda s, y: np.array([1j + 1.0]) * y, [1.0], 0.0, 1.0)
+    with pytest.raises(DomainEvaluationError):
+        integrate(lambda s, y: -y, np.array([1.0 + 0.5j]), 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # reference kernel: the plain per-slot Dual, one generator expression per
 # result; numkit.Dual must reproduce it bit for bit
@@ -459,6 +469,8 @@ def _evaluate(tree, fns, env):
     if op == "pow":
         return _evaluate(tree[1], fns, env) ** tree[2]
     args = [_evaluate(t, fns, env) for t in tree[1:]]
+    if op == "sum":
+        return sum(args)  # starts from the int 0
     if op in _BINARY:
         return _BINARY[op](*args)
     if op == "neg":
@@ -479,17 +491,23 @@ def _nested_partials(fns, tree, x, y):
     return vals + [d for row in rows for d in row]
 
 
-_trees = st.recursive(
-    st.tuples(st.just("var"), st.integers(0, 3))
-    | st.tuples(st.just("const"), st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0])),
-    lambda sub: st.tuples(st.sampled_from(["neg", "sin", "cos", "exp", "log",
-                                           "sqrt"]), sub)
-    | st.tuples(st.sampled_from(sorted(_BINARY)), sub, sub)
-    # a power of a plain float is Python's, not the kernel's: the base
-    # holds a variable, so it is a Dual
-    | st.tuples(st.just("pow"), sub.filter(lambda t: "var" in str(t)),
-                st.sampled_from([-2, -1, 0, 1, 2, 3, 2.0, 0.5, -1.5])),
-    max_leaves=10)
+def _tree_strategy(consts, unary, binary, powers):
+    return st.recursive(
+        st.tuples(st.just("var"), st.integers(0, 3))
+        | st.tuples(st.just("const"), st.sampled_from(consts)),
+        lambda sub: st.tuples(st.sampled_from(unary), sub)
+        | st.tuples(st.sampled_from(binary), sub, sub)
+        # a power of a plain float is Python's, not the kernel's: the base
+        # holds a variable, so it is a Dual
+        | st.tuples(st.just("pow"), sub.filter(lambda t: "var" in str(t)),
+                    st.sampled_from(powers)),
+        max_leaves=10)
+
+
+_trees = _tree_strategy([-2.5, -1.0, 0.0, 0.5, 3.0],
+                        ["neg", "sin", "cos", "exp", "log", "sqrt"],
+                        sorted(_BINARY),
+                        [-2, -1, 0, 1, 2, 3, 2.0, 0.5, -1.5])
 
 
 @given(_trees, st.lists(finite, min_size=4, max_size=4))
@@ -512,3 +530,90 @@ def test_dual_kernel_matches_per_slot_reference(tree, point):
     got = _nested_partials(KERNEL, tree, x, y)
     # bit for bit: float.hex tells -0.0 from 0.0 and lets NaN equal NaN
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+# ---------------------------------------------------------------------------
+# traced kernels: numkit.trace records the Dual code once; the compiled
+# kernel must reproduce it bit for bit, or the trace must give up
+# ---------------------------------------------------------------------------
+
+
+# no log, sqrt or non-integer power: these trees always trace
+_traceable_trees = _tree_strategy(
+    [-2.5, -1.0, -0.0, 0, 0.0, 0.5, 3.0, math.inf],
+    ["neg", "sin", "cos", "exp"],
+    sorted(_BINARY) + ["sum"],
+    [-2, -1, 0, 1, 2, 3, 2.0, -1.0])
+
+
+def _flat(out):
+    if isinstance(out, (tuple, list)):
+        return [v for o in out for v in _flat(o)]
+    return [out]
+
+
+@given(_traceable_trees, st.lists(finite, min_size=4, max_size=4),
+       st.integers(0, 3), st.booleans())
+# an unseeded numpy scalar times a Dual: numpy hands the Dual a Python float
+@example(("mul", ("var", 1), ("var", 0)), [0.0, 1.0, 0.0, 0.0], 1, True)
+@settings(max_examples=300, deadline=None)
+def test_traced_kernel_matches_grad_raw(tree, point, order, numpy_args):
+    def field(x):
+        def f(v):
+            return _evaluate(tree, KERNEL, v)
+        # the gradient in all four inputs, and nested seeds of the first
+        return (grad_raw(f, x),
+                time_derivatives(lambda t: f([t, *x[1:]]), x[0], order))
+
+    kernel = trace(field, 4)
+    # the same argument objects for both: Python floats or numpy scalars,
+    # whose overflow and NaN warnings are silenced here
+    args = list(np.array(point)) if numpy_args else point
+    with np.errstate(all="ignore"):
+        try:
+            want = field(args)
+        except Exception as exc:
+            # a trace may fail on an error that no input avoids (1.0 / 0.0)
+            if kernel is not None:
+                with pytest.raises(type(exc)):
+                    kernel(args)
+            return
+        assert kernel is not None
+        got = kernel(args)
+    # bit for bit, and of the same type (the int 0 of sum() stays an int)
+    assert [(type(v), float(v).hex()) for v in _flat(got)] \
+        == [(type(v), float(v).hex()) for v in _flat(want)]
+
+
+@pytest.mark.parametrize("field", [
+    lambda v: v[0] * v[1] if v[0] < v[1] else v[1],
+    lambda v: abs(v[0]) * v[1],
+    lambda v: value_of(v[0]) * v[1],
+    lambda v: float(v[0].val) * v[1],
+    lambda v: v[0] * v[1] if v[0].val else v[1],
+    lambda v: sqrt(v[0]) * v[1],
+    lambda v: log(v[0]) * v[1],
+    lambda v: v[0] ** 1.5 * v[1],
+    lambda v: v[0] ** v[1],
+], ids=["comparison", "abs", "value_of", "float", "bool", "sqrt", "log",
+        "non-integer power", "dual power"])
+def test_trace_aborts_on_value_dependent_steps(field):
+    assert trace(lambda x: grad_raw(field, x), 2) is None
+    # the Dual path runs as before
+    val, g = grad_raw(field, [2.0, 3.0])
+    assert math.isfinite(value_of(val)) and len(g) == 2
+
+
+def test_trace_aborts_on_long_tapes_and_non_scalar_outputs(monkeypatch):
+    def field(x):
+        return grad_raw(lambda v: sum(a * a for a in v), x)
+
+    assert trace(field, 3) is not None
+    monkeypatch.setattr(numkit, "TRACE_MAX_OPS", 10)
+    assert trace(field, 3) is None
+    monkeypatch.undo()
+    # a Dual or a numpy array in the output has no straight-line form
+    assert trace(lambda x: [Dual(x[0], (1.0,))], 1) is None
+    assert trace(lambda x: np.array([1.0]), 1) is None
+    # an exception over the leaves gives up too; the Dual path raises it
+    assert trace(lambda x: x[0] * (1.0 / 0.0), 1) is None

@@ -99,6 +99,32 @@ def test_propagate_negative_k_runs_time_backwards():
     assert tr.column("q1")[-1] == pytest.approx(math.cos(-2.0), abs=1e-9)
 
 
+def test_propagate_traced_run_matches_dual_path():
+    # the H-gradient of propagate is a kernel traced from grad_raw; a
+    # comparison in H aborts the trace, so the second run takes the Dual path
+    from extphase import numkit
+    from extphase.numkit import cos, exp
+
+    def H(q, p, t):
+        return 0.5 * exp(-0.1 * t) * p[0] ** 2 + 0.5 * (1.0 + 0.2 * cos(t)) \
+            * q[0] ** 2 + 0.25 * q[0] ** 4
+
+    def H_untraced(q, p, t):
+        return H(q, p, t) if t < math.inf else math.nan
+
+    par = Parameterization(k=lambda s, pt: 1.0 + 0.5 * math.sin(s))
+    runs = []
+    for h in (H, H_untraced):
+        sys = HamiltonianSystem(n=1, H=h)
+        flat = numkit.trace(
+            lambda x: numkit.grad_raw(lambda v: h(v[:1], v[1:2], v[2]), x), 3)
+        assert (flat is None) == (h is H_untraced)
+        runs.append(propagate(lift((0.9,), (-0.3,), 0.2, sys), sys, par,
+                              (0.0, 3.0)))
+    assert runs[0].states.tobytes() == runs[1].states.tobytes()
+    assert runs[0].derivs.tobytes() == runs[1].derivs.tobytes()
+
+
 @given(coord, coord, coord, coord)
 @settings(max_examples=30, deadline=None)
 def test_fundamental_brackets(q0, p0, t0, e0):

@@ -233,6 +233,10 @@ def test_transfer_matrix_evaluates_potential_once_per_rhs(monkeypatch):
         calls["V"] += 1
         return 0.5 * (1.0 + 0.1 * sin(t)) * q[0] ** 2
 
+    def V_untraced(q, t):
+        # the comparison needs a value, so the trace aborts before V runs
+        return V(q, t) if t < math.inf else math.nan
+
     integrate = numkit.integrate
 
     def counting_integrate(rhs, *args, **kwargs):
@@ -243,7 +247,12 @@ def test_transfer_matrix_evaluates_potential_once_per_rhs(monkeypatch):
 
     monkeypatch.setattr(numkit, "integrate", counting_integrate)
     transfer_matrix(PotentialSpec(1, V), (1.0,), (0.5,), (0.0, 2.0))
-    # one evaluation per RHS call, plus one for the initial energy e0
+    # traced: one evaluation for the initial energy e0, one for the trace
+    assert calls["rhs"] > 0
+    assert calls["V"] == 2
+    calls.update(V=0, rhs=0)
+    transfer_matrix(PotentialSpec(1, V_untraced), (1.0,), (0.5,), (0.0, 2.0))
+    # Dual path: one evaluation per RHS call, plus one for e0
     assert calls["rhs"] > 0
     assert calls["V"] == calls["rhs"] + 1
 
@@ -268,3 +277,41 @@ def test_oscillator_coupled_run_checks_dimensions():
     for q0, p0 in (((1.0, 0.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (0.0,))):
         with pytest.raises(ValueError, match="initial state dimension"):
             oscillator_coupled_run(modulated(), q0, p0, xi0, (0.0, 1.0))
+
+
+def _untraced(fn):
+    """fn behind a comparison that is always true: it needs a value, so a
+    trace through it aborts and the run keeps the Dual path."""
+    return lambda *args: fn(*args) if args[-1] < math.inf else math.nan
+
+
+def _same_run(a, b):
+    assert a.states.tobytes() == b.states.tobytes()
+    assert a.derivs.tobytes() == b.derivs.tobytes()
+
+
+def test_oscillator_traced_run_matches_dual_path():
+    from extphase import numkit
+    spec = modulated(n=2, eps=0.3, f=0.1)
+    dual = OscillatorSpec(n=2, omega2=_untraced(spec.omega2), F=spec.F)
+    assert numkit.trace(lambda x: spec.coefficients(x[0]), 1) is not None
+    assert numkit.trace(lambda x: dual.coefficients(x[0]), 1) is None
+    xi0 = XiState(xi=1.0, xidot=0.0, xiddot=0.0)
+    args = ((0.3, -0.8), (0.5, 0.2), xi0, (0.0, 3.0))
+    _same_run(oscillator_coupled_run(spec, *args),
+              oscillator_coupled_run(dual, *args))
+
+
+def test_transfer_matrix_traced_run_matches_dual_path():
+    from extphase import numkit
+    from extphase.numkit import exp, sin
+
+    def V(q, t):
+        return 0.5 * (1.0 + 0.2 * sin(t)) * sum(x * x for x in q) \
+            + 0.1 * exp(-t) * q[0] * q[1]
+
+    spec, dual = PotentialSpec(2, V), PotentialSpec(2, _untraced(V))
+    assert numkit.trace(lambda x: spec.derivatives(x[:2], x[2]), 3) is not None
+    assert numkit.trace(lambda x: dual.derivatives(x[:2], x[2]), 3) is None
+    args = ((1.0, -0.4), (0.5, 0.3), (0.0, 3.0))
+    _same_run(transfer_matrix(spec, *args)[0], transfer_matrix(dual, *args)[0])
