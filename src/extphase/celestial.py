@@ -17,7 +17,7 @@ import numpy as np
 from . import numkit
 from .errors import (CollisionChartError, DomainEvaluationError,
                      IntegrationStallError)
-from .numkit import IntegratorOptions, Trajectory, value_of
+from .numkit import Trajectory, value_of
 from .phase import (ExtendedPoint, HamiltonianSystem, map_jacobian,
                     symplectic_matrix)
 from .transform import GeneratingFunction
@@ -108,8 +108,6 @@ def kepler_direct(spec: KeplerSpec, t_span, opts=None) -> Trajectory:
     integrator stalls by design: the IntegrationStallError then carries the
     samples up to the stall, with the same columns.
     """
-    if opts is None:
-        opts = IntegratorOptions()
 
     def rhs(t, y):
         x, p = y
@@ -134,8 +132,6 @@ def kepler_regularized(spec: KeplerSpec, tprime_span, opts=None) -> Trajectory:
     (x, dxdt, t, e); the collision x = 0 is an ordinary point.  The initial
     x-slope is dx/dt'|0 = x0 p0 (from dx/dt' = xi p with xi = x).
     """
-    if opts is None:
-        opts = IntegratorOptions()
     e0 = spec.energy
 
     def rhs(tp, y):

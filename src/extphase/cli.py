@@ -486,9 +486,10 @@ def _run_potential(params, rng, opts):
     return metrics, passed, [("potential.csv", header, rows)]
 
 
-def _sample_lagrangian_trajectory(time_map, dtime_map, s_end=3.0, m=6001):
-    """Exact oscillator orbit q = cos(t(s)) tabulated with exact derivatives."""
-    ss = np.linspace(0.0, s_end, m)
+def _sample_lagrangian_trajectory(time_map, dtime_map):
+    """Exact oscillator orbit q = cos(t(s)) tabulated with exact derivatives
+    at 6001 points of s in [0, 3]."""
+    ss = np.linspace(0.0, 3.0, 6001)
     ts = np.array([time_map(s) for s in ss])
     dts = np.array([dtime_map(s) for s in ss])
     states = np.column_stack([np.cos(ts), ts])

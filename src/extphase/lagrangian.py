@@ -100,7 +100,7 @@ def legendre_to_h1(sys: LagrangianSystem, pt: ExtendedVelocityPoint):
     return p, value_of(p_np1), value_of(h1)
 
 
-def paired_hamiltonian(sys: LagrangianSystem, seed=None) -> HamiltonianSystem:
+def paired_hamiltonian(sys: LagrangianSystem) -> HamiltonianSystem:
     """Numerical Legendre transform of L: H(q, p, t) = p.qdot - L at
     the qdot solving p = dL/dqdot (damped Newton, seeded by p)."""
     n = sys.n
@@ -110,8 +110,7 @@ def paired_hamiltonian(sys: LagrangianSystem, seed=None) -> HamiltonianSystem:
             _, g = numkit.grad_raw(lambda u: sys.L(q, tuple(u), t), list(v))
             return [gi - pi for gi, pi in zip(g, p)]
 
-        v0 = list(seed) if seed is not None else [value_of(pi) for pi in p]
-        qdot = numkit.newton_solve(residual, v0)
+        qdot = numkit.newton_solve(residual, [value_of(pi) for pi in p])
         return sum(a * b for a, b in zip(p, qdot)) - sys.L(q, tuple(qdot), t)
 
     return HamiltonianSystem(n=n, H=H, description="Legendre pair")

@@ -256,6 +256,30 @@ def grad_raw(f, x):
     return y, [0.0] * len(x)
 
 
+def time_derivatives(fn, t, order):
+    """[fn(t), fn'(t), ..., fn^(order)(t)] from one evaluation of fn.
+
+    t is seeded `order` times, one dual generation per seed, so fn sees
+    t + d1 + ... + d_order with every d_i^2 = 0; the j-th derivative is the
+    coefficient of d1 ... dj.  t may itself be dual.
+    """
+    x, tags = t, []
+    for _ in range(order):
+        (x,), tag = _seed_tagged([x])
+        tags.append(tag)
+    y = fn(x)
+    out = []
+    for j in range(order + 1):
+        c = y
+        for tag in reversed(tags[j:]):
+            if isinstance(c, Dual) and c.tag == tag:
+                c = c.val
+        for tag in reversed(tags[:j]):
+            c = c.eps[0] if isinstance(c, Dual) and c.tag == tag else 0.0
+        out.append(c)
+    return out
+
+
 def jacobian_raw(fvec, x):
     """Generic Jacobian of a vector function; rows follow output order."""
     seeded, tag = _seed_tagged(list(x))
@@ -356,11 +380,11 @@ class _Leaf:
 
 def trace(fn, m):
     """fn recorded once over m symbolic leaves and compiled into one
-    straight-line function of a sequence of m floats; None if the trace
-    aborts.
+    straight-line function of a sequence of m floats; fn itself if the
+    trace aborts.
 
     fn is Dual code, such as `grad_raw` of a field or nested
-    ``time_derivatives``, returning scalars in nested tuples and lists; it
+    `time_derivatives`, returning scalars in nested tuples and lists; it
     must be a pure function of its m inputs, since whatever else it reads
     is recorded as a constant.
 
@@ -399,8 +423,8 @@ def trace(fn, m):
     try:
         ret = emit(fn(leaves))
     except (_TraceAbort, Exception):
-        # the caller keeps fn itself, which raises any such error again
-        return None
+        # fn itself raises any such error again
+        return fn
     lines = ["def kernel(x):",
              "    (" + "".join(f"{x.name}, " for x in leaves) + ") = x"]
     lines += [f"    {out} = " + template.format(*map(ref, args))
@@ -438,7 +462,13 @@ def solve_linear(A, b):
     return x
 
 
-def newton_solve(residual, x0, max_iter=50, tol=1e-12):
+# damped Newton stops once the max-norm of the residual is below _NEWTON_TOL,
+# and gives up after _NEWTON_MAX_ITER iterations
+_NEWTON_MAX_ITER = 50
+_NEWTON_TOL = 1e-12
+
+
+def newton_solve(residual, x0):
     """Damped Newton on a small square system, generic over dual unknowns.
 
     After the primal residual converges, two polishing steps are taken so
@@ -450,10 +480,10 @@ def newton_solve(residual, x0, max_iter=50, tol=1e-12):
         return max((abs(value_of(ri)) for ri in r), default=0.0)
 
     x = list(x0)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         r, J = jacobian_raw(residual, x)
         rn = norm(r)
-        if rn < tol:
+        if rn < _NEWTON_TOL:
             for _ in range(2):
                 r, J = jacobian_raw(residual, x)
                 dx = solve_linear(J, [-ri for ri in r])
@@ -470,25 +500,26 @@ def newton_solve(residual, x0, max_iter=50, tol=1e-12):
         else:
             x = [xi + di for xi, di in zip(x, dx)]
     raise ImplicitSolveError(
-        f"Newton iteration did not converge within {max_iter} steps")
+        f"Newton iteration did not converge within {_NEWTON_MAX_ITER} steps")
 
 
-_GL_CACHE = {}
+@lru_cache(maxsize=1)
+def _gauss_legendre_10():
+    """Nodes and weights of the 10-point rule, loaded on first use: importing
+    numpy.polynomial costs every run start-up time and memory."""
+    return np.polynomial.legendre.leggauss(10)
 
 
-def quad_fixed(f, a, b, panels=None, order=10):
-    """Composite Gauss-Legendre quadrature, generic over dual endpoints.
+def quad_fixed(f, a, b):
+    """Composite 10-point Gauss-Legendre quadrature, generic over dual
+    endpoints, on max(4, min(64, int(2 |b - a|) + 4)) equal panels.
 
     Fixed nodes (no adaptivity) keep the result a smooth, dual-differentiable
     function of the endpoints; accuracy is machine-level for the smooth
     integrands used here.
     """
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    nodes, weights = _GL_CACHE[order]
-    span = abs(value_of(b) - value_of(a))
-    if panels is None:
-        panels = max(4, min(64, int(2.0 * span) + 4))
+    nodes, weights = _gauss_legendre_10()
+    panels = max(4, min(64, int(2.0 * abs(value_of(b) - value_of(a))) + 4))
     width = (b - a) / panels
     half = width * 0.5
     total = 0.0

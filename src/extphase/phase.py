@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numkit
 from .errors import DomainEvaluationError
-from .numkit import IntegratorOptions, value_of
+from .numkit import value_of
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,9 @@ class ExtendedPoint:
     def n(self):
         return len(self.q)
 
-    def on_shell(self, sys, tol=1e-10):
-        return abs(value_of(sys.H(self.q, self.p, self.t) - self.e)) <= tol
+    def on_shell(self, sys):
+        """|H(q, p, t) - e| <= 1e-10."""
+        return abs(value_of(sys.H(self.q, self.p, self.t) - self.e)) <= 1e-10
 
 
 @dataclass(frozen=True)
@@ -100,24 +101,18 @@ def _h_grad(sys, n):
     return grad
 
 
-def _h_gradient(sys, q, p, t, grad=None):
-    """H and its partials (dH/dq, dH/dp, dH/dt) at (q, p, t) by dual seeding;
-    grad, when given, is `_h_grad` or a kernel traced from it."""
-    n = len(q)
-    val, g = (grad or _h_grad(sys, n))([*q, *p, t])
-    return val, g[:n], g[n:2 * n], g[2 * n]
-
-
 def extended_rhs(pt, k, sys, grad=None):
     """Right-hand side of the extended canonical equations at one point,
     in the trajectory's state order (dq.., dp.., dt, de).  grad, when
     given, takes the place of ``grad_raw`` of H at the flat (q.., p.., t);
     `propagate` passes a kernel traced from it."""
-    _, dHdq, dHdp, dHdt = _h_gradient(sys, pt.q, pt.p, pt.t, grad)
-    for g in dHdq + dHdp + [dHdt]:
-        if not math.isfinite(value_of(g)):
+    n = pt.n
+    _, g = (grad or _h_grad(sys, n))([*pt.q, *pt.p, pt.t])
+    for gi in g:
+        if not math.isfinite(value_of(gi)):
             raise DomainEvaluationError("H derivative not finite")
-    return [k * g for g in dHdp] + [-k * g for g in dHdq] + [k, k * dHdt]
+    return [k * gi for gi in g[n:2 * n]] + [-k * gi for gi in g[:n]] \
+        + [k, k * g[2 * n]]
 
 
 def trajectory_labels(n):
@@ -142,12 +137,9 @@ def propagate(pt0, sys, par, s_span, opts=None):
     The H-gradient is a kernel traced once from `grad_raw` (the Dual path
     when H does not trace).
     """
-    if opts is None:
-        opts = IntegratorOptions()
     n = pt0.n
     s0, s1 = s_span
-    grad = _h_grad(sys, n)
-    grad = numkit.trace(grad, 2 * n + 1) or grad
+    grad = numkit.trace(_h_grad(sys, n), 2 * n + 1)
 
     def rhs(s, y):
         pt = state_to_point(y, n, s=s)

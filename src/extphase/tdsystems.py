@@ -18,35 +18,10 @@ import numpy as np
 from . import numkit
 from .errors import (CoefficientSingularityError, DomainEvaluationError,
                      UnphysicalMapError)
-from .numkit import Dual, IntegratorOptions, exp, sqrt, value_of
-from .phase import (ExtendedPoint, HamiltonianSystem, _h_grad, _h_gradient,
-                    trajectory_labels)
+from .numkit import exp, sqrt, time_derivatives, value_of
+from .phase import ExtendedPoint, HamiltonianSystem, _h_grad, trajectory_labels
 
 _Q2_FLOOR = 1e-12
-
-
-def time_derivatives(fn, t, order):
-    """[fn(t), fn'(t), ..., fn^(order)(t)] from one evaluation of fn.
-
-    t is seeded `order` times, one dual generation per seed, so fn sees
-    t + d1 + ... + d_order with every d_i^2 = 0; the j-th derivative is the
-    coefficient of d1 ... dj.  t may itself be dual.
-    """
-    x, tags = t, []
-    for _ in range(order):
-        (x,), tag = numkit._seed_tagged([x])
-        tags.append(tag)
-    y = fn(x)
-    out = []
-    for j in range(order + 1):
-        c = y
-        for tag in reversed(tags[j:]):
-            if isinstance(c, Dual) and c.tag == tag:
-                c = c.val
-        for tag in reversed(tags[:j]):
-            c = c.eps[0] if isinstance(c, Dual) and c.tag == tag else 0.0
-        out.append(c)
-    return out
 
 
 @dataclass(frozen=True)
@@ -75,12 +50,17 @@ class OscillatorSpec:
         return HamiltonianSystem(n=self.n, H=H,
                                  description="TD damped oscillator")
 
-    def omega0_squared(self, xs, t=0.0):
+    def omega0_squared(self, xs, t):
         """The constant omega_0^2 determined by a xi solution:
         xi xidd / 2 - xid^2 / 4 + xi^2 (omega^2 - fdot/2 - f^2/4)."""
-        w2, _, _, f, fd, _ = self.coefficients(t)
-        return 0.5 * xs.xi * xs.xiddot - 0.25 * xs.xidot ** 2 \
-            + xs.xi ** 2 * (w2 - 0.5 * fd - 0.25 * f ** 2)
+        return _omega0_squared(self.coefficients(t), xs)
+
+
+def _omega0_squared(coefficients, xs):
+    """`OscillatorSpec.omega0_squared` from the tuple of its `coefficients`."""
+    w2, _, _, f, fd, _ = coefficients
+    return 0.5 * xs.xi * xs.xiddot - 0.25 * xs.xidot ** 2 \
+        + xs.xi ** 2 * (w2 - 0.5 * fd - 0.25 * f ** 2)
 
 
 @dataclass(frozen=True)
@@ -144,8 +124,13 @@ def leach_invariant(spec: OscillatorSpec, state, xs: XiState):
     Constant along trajectories when xs solves the auxiliary equation;
     reduces to the energy for constant omega, f = 0, xi = 1.
     """
-    q, p, t, _ = state
-    w2, _, Fv, f, fd, _ = spec.coefficients(t)
+    return _leach(spec.coefficients(state[2]), state, xs)
+
+
+def _leach(coefficients, state, xs):
+    """`leach_invariant` from the tuple of `OscillatorSpec.coefficients`."""
+    q, p, _, _ = state
+    w2, _, Fv, f, fd, _ = coefficients
     q2 = sum(x * x for x in q)
     p2 = sum(x * x for x in p)
     qp = sum(a * b for a, b in zip(q, p))
@@ -160,9 +145,10 @@ def xi_positivity_residual(spec: OscillatorSpec, state, xs: XiState):
 
     The right side is nonnegative, which is why xi stays positive."""
     q, p, t, _ = state
-    _, _, Fv, f, _, _ = spec.coefficients(t)
-    ep = leach_invariant(spec, state, xs)
-    w02 = spec.omega0_squared(xs, t)
+    c = spec.coefficients(t)
+    _, _, Fv, f, _, _ = c
+    ep = _leach(c, state, xs)
+    w02 = _omega0_squared(c, xs)
     q2 = sum(x * x for x in q)
     rhs = w02 * q2 + sum((xs.xi * exp(-Fv) * pi
                           - 0.5 * (xs.xidot - xs.xi * f) * qi) ** 2
@@ -233,28 +219,21 @@ def oscillator_coupled_run(spec: OscillatorSpec, q0, p0, xi0: XiState,
     The H-gradient and the coefficients are kernels traced once from their
     Dual code (that code itself when it does not trace).
     """
-    if opts is None:
-        opts = IntegratorOptions()
     n = spec.n
     sys = spec.system()
     e0 = _initial_energy(sys, q0, p0, t_span[0])
-    grad = _h_grad(sys, n)
-    grad = numkit.trace(grad, 2 * n + 1) or grad
-
-    def coefficients(x):
-        return spec.coefficients(x[0])
-
-    coefficients = numkit.trace(coefficients, 1) or coefficients
+    grad = numkit.trace(_h_grad(sys, n), 2 * n + 1)
+    coefficients = numkit.trace(lambda x: spec.coefficients(x[0]), 1)
 
     def rhs(t, y):
-        _, dHdq, dHdp, dHdt = _h_gradient(sys, y[:n], y[n:2 * n], t, grad)
+        _, g = grad([*y[:2 * n], t])
         xs = XiState(xi=y[2 * n + 1], xidot=y[2 * n + 2], xiddot=y[2 * n + 3])
         dxs = _xi_rhs(coefficients((t,)), xs)
         xi = y[2 * n + 1]
         if xi <= 0:
             return [math.nan] * (2 * n + 5)
-        return dHdp + [-g for g in dHdq] + [
-            dHdt, value_of(dxs.xi), value_of(dxs.xidot),
+        return g[n:2 * n] + [-gi for gi in g[:n]] + [
+            g[2 * n], value_of(dxs.xi), value_of(dxs.xidot),
             value_of(dxs.xiddot), 1.0 / xi]
 
     labels = trajectory_labels(n)[:2 * n] + ("e", "xi", "xid", "xidd", "tprime")
@@ -300,15 +279,9 @@ def transfer_matrix(spec: PotentialSpec, q0, p0, t_span, opts=None):
     are a kernel traced once from `PotentialSpec.derivatives` (that method
     itself when V does not trace).
     """
-    if opts is None:
-        opts = IntegratorOptions()
     n = spec.n
     e0 = _initial_energy(spec.system(), q0, p0, t_span[0])
-
-    def derivatives(x):
-        return spec.derivatives(x[:n], x[n])
-
-    derivatives = numkit.trace(derivatives, n + 1) or derivatives
+    derivatives = numkit.trace(lambda x: spec.derivatives(x[:n], x[n]), n + 1)
 
     def rhs(t, y):
         q = y[:n].tolist()

@@ -125,12 +125,13 @@ def _pair_gradient(F, first, unprimed, primed, s, wrt_primed):
     return numkit.grad_raw(f, primed if wrt_primed else unprimed)[1]
 
 
-def _apply(F, pt, seed=None):
+def _apply(F, pt):
     """Solve the rule set of F's kind at pt.
 
     The unknowns are the image's primed pair, fixed by dF/d(unprimed) =
-    the momenta conjugate to the point's unprimed pair; the momenta
-    conjugate to the image's primed pair are then -dF/d(primed).
+    the momenta conjugate to the point's unprimed pair, solved by damped
+    Newton from the point's own primed pair; the momenta conjugate to the
+    image's primed pair are then -dF/d(primed).
     Returns (image point, resolved argument blocks (x, y, a, b)).
     """
     n = pt.n
@@ -145,21 +146,20 @@ def _apply(F, pt, seed=None):
         dU = _pair_gradient(F, first, known, u, s, wrt_primed=False)
         return [g - w for g, w in zip(dU, target)]
 
-    u0 = seed if seed is not None else _pair(pt, primed)
-    u = numkit.newton_solve(residual, u0)
+    u = numkit.newton_solve(residual, _pair(pt, primed))
     dP = _pair_gradient(F, first, known, u, s, wrt_primed=True)
     image = _point(primed, u, _flip(primed, [-g for g in dP]), s)
     return image, _blocks(first, known, u)
 
 
-def apply_generating(F, pt, seed=None):
+def apply_generating(F, pt):
     """Apply the canonical map induced by F to pt (s passes through unchanged).
 
-    Implicit rules are solved by damped Newton from `seed` (defaults to the
-    point's own (p, e) or (q, t) block); the branch continuous from the seed
-    is returned when multiple solutions exist.
+    Implicit rules are solved by damped Newton from the point's own (p, e)
+    or (q, t) block; the branch continuous from it is returned when multiple
+    solutions exist.
     """
-    image, args = _apply(F, pt, seed=seed)
+    image, args = _apply(F, pt)
     det = _mixed_hessian_det(F, *args, pt.s)
     if abs(det) < 1e-12:
         raise DegeneracyError(
@@ -213,12 +213,13 @@ def _extra(kind, src, img):
     return extra
 
 
-def legendre_convert(F, target_kind, seed=None):
+def legendre_convert(F, target_kind):
     """Build an equivalent generating function of another kind.
 
     The converted value resolves the full transformation configuration from
-    its own arguments through the source map (damped Newton) and shifts the
-    source value by the appropriate exchange terms.  Unsolvable exchanges
+    its own arguments through the source map (damped Newton, started from
+    its primed pair's values) and shifts the source value by the
+    appropriate exchange terms.  Unsolvable exchanges
     (e.g. the identity map as F1) surface as :class:`DegeneracyError` when
     the converted function is evaluated or applied.
     """
@@ -241,8 +242,7 @@ def legendre_convert(F, target_kind, seed=None):
             img, _ = _apply(F, source(u))
             return [g - w for g, w in zip(_pair(img, primed), want)]
 
-        u0 = seed if seed is not None else want
-        src = source(numkit.newton_solve(residual, list(u0)))
+        src = source(numkit.newton_solve(residual, want))
         img, src_args = _apply(F, src)
         src_val = F.value(*src_args, s)
         return src_val - _extra(F.kind, src, img) \

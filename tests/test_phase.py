@@ -116,9 +116,10 @@ def test_propagate_traced_run_matches_dual_path():
     runs = []
     for h in (H, H_untraced):
         sys = HamiltonianSystem(n=1, H=h)
-        flat = numkit.trace(
-            lambda x: numkit.grad_raw(lambda v: h(v[:1], v[1:2], v[2]), x), 3)
-        assert (flat is None) == (h is H_untraced)
+        def grad(x):
+            return numkit.grad_raw(lambda v: h(v[:1], v[1:2], v[2]), x)
+
+        assert (numkit.trace(grad, 3) is grad) == (h is H_untraced)
         runs.append(propagate(lift((0.9,), (-0.3,), 0.2, sys), sys, par,
                               (0.0, 3.0)))
     assert runs[0].states.tobytes() == runs[1].states.tobytes()

@@ -109,6 +109,22 @@ def test_positivity_identity():
     assert xi_positivity_residual(spec, state, xs) < 1e-10
 
 
+def test_positivity_residual_seeds_coefficients_once():
+    # the Leach invariant and omega_0^2 inside the residual share its one
+    # tuple of coefficients, so omega^2 is evaluated once per call
+    from extphase.numkit import sin
+    calls = []
+
+    def omega2(t):
+        calls.append(t)
+        return 1.0 + 0.1 * sin(t)
+
+    spec = OscillatorSpec(n=2, omega2=omega2, F=lambda t: 0.05 * t)
+    xs = XiState(xi=1.3, xidot=0.2, xiddot=-0.4)
+    xi_positivity_residual(spec, ((0.7, -1.1), (0.5, 0.3), 1.2, 0.9), xs)
+    assert len(calls) == 1
+
+
 def test_angular_invariants_antisymmetric():
     I = angular_invariants((1.0, 2.0), (3.0, 5.0))
     assert I.shape == (2, 2)
@@ -294,8 +310,10 @@ def test_oscillator_traced_run_matches_dual_path():
     from extphase import numkit
     spec = modulated(n=2, eps=0.3, f=0.1)
     dual = OscillatorSpec(n=2, omega2=_untraced(spec.omega2), F=spec.F)
-    assert numkit.trace(lambda x: spec.coefficients(x[0]), 1) is not None
-    assert numkit.trace(lambda x: dual.coefficients(x[0]), 1) is None
+    traced, untraced = (lambda x: spec.coefficients(x[0]),
+                        lambda x: dual.coefficients(x[0]))
+    assert numkit.trace(traced, 1) is not traced
+    assert numkit.trace(untraced, 1) is untraced
     xi0 = XiState(xi=1.0, xidot=0.0, xiddot=0.0)
     args = ((0.3, -0.8), (0.5, 0.2), xi0, (0.0, 3.0))
     _same_run(oscillator_coupled_run(spec, *args),
@@ -311,7 +329,9 @@ def test_transfer_matrix_traced_run_matches_dual_path():
             + 0.1 * exp(-t) * q[0] * q[1]
 
     spec, dual = PotentialSpec(2, V), PotentialSpec(2, _untraced(V))
-    assert numkit.trace(lambda x: spec.derivatives(x[:2], x[2]), 3) is not None
-    assert numkit.trace(lambda x: dual.derivatives(x[:2], x[2]), 3) is None
+    traced, untraced = (lambda x: spec.derivatives(x[:2], x[2]),
+                        lambda x: dual.derivatives(x[:2], x[2]))
+    assert numkit.trace(traced, 3) is not traced
+    assert numkit.trace(untraced, 3) is untraced
     args = ((1.0, -0.4), (0.5, 0.3), (0.0, 3.0))
     _same_run(transfer_matrix(spec, *args)[0], transfer_matrix(dual, *args)[0])
