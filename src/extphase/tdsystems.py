@@ -50,14 +50,11 @@ class OscillatorSpec:
         return HamiltonianSystem(n=self.n, H=H,
                                  description="TD damped oscillator")
 
-    def omega0_squared(self, xs, t):
-        """The constant omega_0^2 determined by a xi solution:
-        xi xidd / 2 - xid^2 / 4 + xi^2 (omega^2 - fdot/2 - f^2/4)."""
-        return _omega0_squared(self.coefficients(t), xs)
 
-
-def _omega0_squared(coefficients, xs):
-    """`OscillatorSpec.omega0_squared` from the tuple of its `coefficients`."""
+def omega0_squared(coefficients, xs):
+    """The constant omega_0^2 determined by a xi solution:
+    xi xidd / 2 - xid^2 / 4 + xi^2 (omega^2 - fdot/2 - f^2/4), from the
+    tuple of `OscillatorSpec.coefficients` at xs's time."""
     w2, _, _, f, fd, _ = coefficients
     return 0.5 * xs.xi * xs.xiddot - 0.25 * xs.xidot ** 2 \
         + xs.xi ** 2 * (w2 - 0.5 * fd - 0.25 * f ** 2)
@@ -98,16 +95,12 @@ def _initial_energy(sys, q0, p0, t0):
     return sys.H(tuple(q0), tuple(p0), t0)
 
 
-def xi_oscillator_rhs(spec: OscillatorSpec, t, xs: XiState) -> XiState:
-    """Derivative triple of the linear third-order auxiliary equation:
+def xi_oscillator_rhs(coefficients, xs: XiState) -> XiState:
+    """Derivative triple of the linear third-order auxiliary equation,
+    from the tuple of `OscillatorSpec.coefficients` at xs's time:
 
     xiddd = -xid (4 omega^2 - 2 fdot - f^2) - xi (2 d(omega^2)/dt - fddot - f fdot)
     """
-    return _xi_rhs(spec.coefficients(t), xs)
-
-
-def _xi_rhs(coefficients, xs):
-    """`xi_oscillator_rhs` from the tuple of `OscillatorSpec.coefficients`."""
     w2, dw2, _, f, fd, fdd = coefficients
     for v in (w2, dw2, f, fd, fdd):
         if not math.isfinite(value_of(v)):
@@ -117,18 +110,14 @@ def _xi_rhs(coefficients, xs):
     return XiState(xi=xs.xidot, xidot=xs.xiddot, xiddot=xddd)
 
 
-def leach_invariant(spec: OscillatorSpec, state, xs: XiState):
+def leach_invariant(coefficients, state, xs: XiState):
     """e' = e^{-F} xi p^2/2 - (xid - xi f) q.p / 2
-    + e^{F} (xidd - xid f - xi fdot + 2 xi omega^2) q^2 / 4.
+    + e^{F} (xidd - xid f - xi fdot + 2 xi omega^2) q^2 / 4,
+    from the tuple of `OscillatorSpec.coefficients` at the state's time.
 
     Constant along trajectories when xs solves the auxiliary equation;
     reduces to the energy for constant omega, f = 0, xi = 1.
     """
-    return _leach(spec.coefficients(state[2]), state, xs)
-
-
-def _leach(coefficients, state, xs):
-    """`leach_invariant` from the tuple of `OscillatorSpec.coefficients`."""
     q, p, _, _ = state
     w2, _, Fv, f, fd, _ = coefficients
     q2 = sum(x * x for x in q)
@@ -140,15 +129,15 @@ def _leach(coefficients, state, xs):
                             + 2.0 * xs.xi * w2) * q2
 
 
-def xi_positivity_residual(spec: OscillatorSpec, state, xs: XiState):
-    """Defect of 2 e' e^{-F} xi = omega0^2 q^2 + [xi e^{-F} p - (xid - xi f) q / 2]^2.
+def xi_positivity_residual(coefficients, state, xs: XiState):
+    """Defect of 2 e' e^{-F} xi = omega0^2 q^2 + [xi e^{-F} p - (xid - xi f) q / 2]^2,
+    from the tuple of `OscillatorSpec.coefficients` at the state's time.
 
     The right side is nonnegative, which is why xi stays positive."""
-    q, p, t, _ = state
-    c = spec.coefficients(t)
-    _, _, Fv, f, _, _ = c
-    ep = _leach(c, state, xs)
-    w02 = _omega0_squared(c, xs)
+    q, p, _, _ = state
+    _, _, Fv, f, _, _ = coefficients
+    ep = leach_invariant(coefficients, state, xs)
+    w02 = omega0_squared(coefficients, xs)
     q2 = sum(x * x for x in q)
     rhs = w02 * q2 + sum((xs.xi * exp(-Fv) * pi
                           - 0.5 * (xs.xidot - xs.xi * f) * qi) ** 2
@@ -228,7 +217,7 @@ def oscillator_coupled_run(spec: OscillatorSpec, q0, p0, xi0: XiState,
     def rhs(t, y):
         _, g = grad([*y[:2 * n], t])
         xs = XiState(xi=y[2 * n + 1], xidot=y[2 * n + 2], xiddot=y[2 * n + 3])
-        dxs = _xi_rhs(coefficients((t,)), xs)
+        dxs = xi_oscillator_rhs(coefficients((t,)), xs)
         xi = y[2 * n + 1]
         if xi <= 0:
             return [math.nan] * (2 * n + 5)

@@ -125,31 +125,59 @@ def _pair_gradient(F, first, unprimed, primed, s, wrt_primed):
     return numkit.grad_raw(f, primed if wrt_primed else unprimed)[1]
 
 
-def _apply(F, pt):
-    """Solve the rule set of F's kind at pt.
+def _rule(F, pt):
+    """The rule set of F's kind at pt, as (residual, start).
 
-    The unknowns are the image's primed pair, fixed by dF/d(unprimed) =
-    the momenta conjugate to the point's unprimed pair, solved by damped
-    Newton from the point's own primed pair; the momenta conjugate to the
-    image's primed pair are then -dF/d(primed).
-    Returns (image point, resolved argument blocks (x, y, a, b)).
+    residual(u) is dF/d(unprimed pair) minus the momenta conjugate to the
+    point's unprimed pair, at the image's primed pair u; damped Newton
+    starts from the point's own primed pair.
     """
-    n = pt.n
-    if n != F.n:
-        raise ValueError(f"dimension mismatch: point has n={n}, F has n={F.n}")
+    if pt.n != F.n:
+        raise ValueError(f"dimension mismatch: point has n={pt.n}, F has n={F.n}")
     unprimed, primed, first = _LAYOUT[F.kind]
-    s = pt.s
     known = _pair(pt, unprimed)
     target = _flip(unprimed, _pair(pt, _PARTNER[unprimed]))
 
     def residual(u):
-        dU = _pair_gradient(F, first, known, u, s, wrt_primed=False)
+        dU = _pair_gradient(F, first, known, u, pt.s, wrt_primed=False)
         return [g - w for g, w in zip(dU, target)]
 
-    u = numkit.newton_solve(residual, _pair(pt, primed))
-    dP = _pair_gradient(F, first, known, u, s, wrt_primed=True)
-    image = _point(primed, u, _flip(primed, [-g for g in dP]), s)
-    return image, _blocks(first, known, u)
+    return residual, _pair(pt, primed)
+
+
+def _det(residual, u):
+    """Determinant of the mixed Hessian d^2 F / d(x,a) d(y,b) at u: the
+    Jacobian of the rule residual (its transpose for F3, whose unprimed pair
+    fills (y, b))."""
+    _, rows = numkit.jacobian_raw(residual, u)
+    return float(np.linalg.det(np.array([[value_of(r) for r in row]
+                                         for row in rows])))
+
+
+def _solved_det(residual, u):
+    """`_det` at the root u of the residual, which must not vanish there."""
+    det = _det(residual, u)
+    if abs(det) < 1e-12:
+        raise DegeneracyError(
+            f"generating function degenerate at solution (|hessian| = {abs(det):.3e})")
+    return det
+
+
+def _apply(F, pt):
+    """Solve the rule set of F's kind at pt.
+
+    The unknowns are the image's primed pair, the root of the rule
+    residual; the momenta conjugate to it are then -dF/d(primed).
+    Returns (image point, resolved argument blocks (x, y, a, b), residual,
+    root).
+    """
+    unprimed, primed, first = _LAYOUT[F.kind]
+    residual, start = _rule(F, pt)
+    u = numkit.newton_solve(residual, start)
+    known = _pair(pt, unprimed)
+    dP = _pair_gradient(F, first, known, u, pt.s, wrt_primed=True)
+    image = _point(primed, u, _flip(primed, [-g for g in dP]), pt.s)
+    return image, _blocks(first, known, u), residual, u
 
 
 def apply_generating(F, pt):
@@ -159,32 +187,9 @@ def apply_generating(F, pt):
     or (q, t) block; the branch continuous from it is returned when multiple
     solutions exist.
     """
-    image, args = _apply(F, pt)
-    det = _mixed_hessian_det(F, *args, pt.s)
-    if abs(det) < 1e-12:
-        raise DegeneracyError(
-            f"generating function degenerate at solution (|hessian| = {abs(det):.3e})")
+    image, _, residual, u = _apply(F, pt)
+    _solved_det(residual, u)
     return image
-
-
-def _mixed_hessian(F, x, y, a, b, s):
-    """The (n+1)x(n+1) mixed block d^2 F / d(x,a) d(y,b) by nested duals."""
-    n = F.n
-    m = n + 1
-
-    def outer(u):
-        def inner(v):
-            return F.value(v[:n], u[:n], v[n], u[n], s)
-
-        _, g = numkit.grad_raw(inner, list(x) + [a])
-        return g
-
-    _, rows = numkit.jacobian_raw(outer, list(y) + [b])
-    return np.array([[value_of(r) for r in row] for row in rows])
-
-
-def _mixed_hessian_det(F, x, y, a, b, s):
-    return float(np.linalg.det(_mixed_hessian(F, x, y, a, b, s)))
 
 
 def hessian_det(F, pt):
@@ -193,9 +198,7 @@ def hessian_det(F, pt):
     The unresolved argument block is probed at the point's own (p, e) or
     (q, t) values; nonzero certifies local invertibility of the induced map.
     """
-    unprimed, primed, first = _LAYOUT[F.kind]
-    args = _blocks(first, _pair(pt, unprimed), _pair(pt, primed))
-    return _mixed_hessian_det(F, *args, pt.s)
+    return _det(*_rule(F, pt))
 
 
 # algebraic offset of each kind's value relative to the F1 form: a primed
@@ -239,11 +242,11 @@ def legendre_convert(F, target_kind):
             return _point(unprimed, known, u, s)
 
         def residual(u):
-            img, _ = _apply(F, source(u))
+            img = _apply(F, source(u))[0]
             return [g - w for g, w in zip(_pair(img, primed), want)]
 
         src = source(numkit.newton_solve(residual, want))
-        img, src_args = _apply(F, src)
+        img, src_args, _, _ = _apply(F, src)
         src_val = F.value(*src_args, s)
         return src_val - _extra(F.kind, src, img) \
             + _extra(target_kind, src, img)
@@ -264,34 +267,37 @@ def embed_conventional(f2, n):
     return GeneratingFunction(kind="F2", value=value, n=n)
 
 
-def _dtprime_dt(F, pt):
-    def g(v):
-        img = apply_generating(F, ExtendedPoint(q=pt.q, p=pt.p, t=v[0],
-                                                e=pt.e, s=pt.s))
-        return img.t
-
-    _, grad = numkit.grad_raw(g, [pt.t])
-    return value_of(grad[0])
-
-
 def transform_hamiltonian(H, F, pt):
     """Value of the transformed conventional Hamiltonian H' at the image of pt.
 
     Uses H' = (H - e) / (dt'/dt) + e', valid for s-independent generating
-    functions.
+    functions; e' and dt'/dt come from one solve with t seeded.
     """
-    image = apply_generating(F, pt)
-    dtp = _dtprime_dt(F, pt)
+    def image_te(v):
+        img = apply_generating(F, ExtendedPoint(q=pt.q, p=pt.p, t=v[0],
+                                                e=pt.e, s=pt.s))
+        return [img.t, img.e]
+
+    (_, ep), ((dtp,), _) = numkit.jacobian_raw(image_te, [pt.t])
+    dtp = value_of(dtp)
     if abs(dtp) < 1e-12:
         raise DegenerateTimeError("dt'/dt vanishes at probe point")
     h = H.H(pt.q, pt.p, pt.t)
-    return value_of((h - pt.e) / dtp + image.e)
+    return value_of((h - pt.e) / dtp + ep)
 
 
 def restriction_report(F, pt, tol=1e-10):
-    """Probe the restriction conditions of the induced map at pt."""
+    """Probe the restriction conditions of the induced map at pt.
+
+    One float solve gives the argument blocks, the mixed Hessian and dF/ds;
+    the map's Jacobian comes from the solve with pt seeded.
+    """
     n = pt.n
-    M = map_jacobian(lambda z: apply_generating(F, z), pt)
+    _, args, residual, u = _apply(F, pt)
+    hdet = _solved_det(residual, u)
+    _, (dFds,) = numkit.grad_raw(lambda v: F.value(*args, v[0]), [pt.s])
+    preserves = abs(value_of(dFds)) <= tol
+    M = map_jacobian(lambda z: _apply(F, z)[0], pt)
     # ordering (q.., t, p.., -e): q rows/cols 0..n-1, t at n, p at n+1..2n, -e at 2n+1
     it, ie = n, 2 * n + 1
     time_global = all(abs(M[it, j]) <= tol for j in range(n)) and \
@@ -300,13 +306,8 @@ def restriction_report(F, pt, tol=1e-10):
         [abs(M[n + 1 + j, ie]) for j in range(n)]
     spacetime_split = all(d <= tol for d in dep)
     subspace_liouville = abs(M[it, it] * M[ie, ie] - 1.0) <= tol
-
-    image, args = _apply(F, pt)
-    hdet = _mixed_hessian_det(F, *args, pt.s)
-    _, (dFds,) = numkit.grad_raw(lambda v: F.value(*args, v[0]), [pt.s])
-    preserves = abs(value_of(dFds)) <= tol
     return TransformReport(
-        hessian_det=float(hdet),
+        hessian_det=hdet,
         preserves_H1=preserves,
         time_global=bool(time_global),
         spacetime_split=bool(spacetime_split),

@@ -225,9 +225,10 @@ def test_07_oscillator_invariants():
             y, t = tr.states[k], float(tr.s[k])
             xs = XiState(xi=y[5], xidot=y[6], xiddot=y[7])
             state = ((y[0], y[1]), (y[2], y[3]), t, y[4])
-            leach.append(value_of(tdsystems.leach_invariant(spec, state, xs)))
+            c = spec.coefficients(t)
+            leach.append(value_of(tdsystems.leach_invariant(c, state, xs)))
             ang.append(tdsystems.angular_invariants(state[0], state[1])[0, 1])
-            pos = max(pos, tdsystems.xi_positivity_residual(spec, state, xs))
+            pos = max(pos, tdsystems.xi_positivity_residual(c, state, xs))
         ldrift = float(np.max(np.abs(np.array(leach) - leach[0])))
         adrift = float(np.max(np.abs(np.array(ang) - ang[0])))
         ok = ok and ldrift <= 1e-8 and adrift <= 1e-8 and pos <= 1e-10
@@ -248,13 +249,14 @@ def test_07_oscillator_invariants():
             - 2.0 * f1 * emF * p * p - 8.0 * w2 * q * p \
             - 2.0 * f1 * eF * w2 * q * q - 2.0 * eF * dw2 * q * q
         want = value_of(tdsystems.xi_oscillator_rhs(
-            spec1, t, XiState(xi=xi, xidot=xid, xiddot=xidd)).xiddot)
+            spec1.coefficients(t),
+            XiState(xi=xi, xidot=xid, xiddot=xidd)).xiddot)
         hoxi = max(hoxi, abs(xiddd - want))
     # constant-omega reduction: xi = 1 gives e' = e exactly
     cspec = OscillatorSpec(n=1, omega2=lambda t: 1.0 + 0.0 * t,
                            F=lambda t: 0.0 * t)
     ep = value_of(tdsystems.leach_invariant(
-        cspec, ((1.2,), (-0.4,), 0.7, 0.8),
+        cspec.coefficients(0.7), ((1.2,), (-0.4,), 0.7, 0.8),
         XiState(xi=1.0, xidot=0.0, xiddot=0.0)))
     const_err = abs(ep - (0.5 * 0.4 ** 2 + 0.5 * 1.2 ** 2))
     ok = ok and hoxi <= 1e-8 and const_err <= 1e-12

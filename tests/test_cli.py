@@ -8,9 +8,9 @@ import random
 import numpy as np
 import pytest
 
-from extphase import numkit, tdsystems
-from extphase.cli import (SCHEMAS, ScenarioConfig, _run_potential, main, run,
-                          validate)
+from extphase import lagrangian, numkit, tdsystems
+from extphase.cli import (SCHEMAS, ScenarioConfig, _run_lagrangian_check,
+                          _run_oscillator, _run_potential, main, run, validate)
 
 
 def write_config(path, obj):
@@ -280,3 +280,63 @@ def test_step_budget_exit_codes(tmp_path, capsys, monkeypatch):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["error"].startswith("StepBudgetError")
     assert report["metrics"] == {"runner_failed": 1.0}
+
+
+def test_oscillator_seeds_coefficients_once_per_sample(monkeypatch):
+    # the Leach invariant and the positivity residual of a sampled point
+    # share one seeding of the coefficients; the RHS kernel traces one more
+    calls = []
+    coefficients = tdsystems.OscillatorSpec.coefficients
+
+    def counted(self, t):
+        calls.append(t)
+        return coefficients(self, t)
+
+    monkeypatch.setattr(tdsystems.OscillatorSpec, "coefficients", counted)
+    cfg, errors = validate({"scenario": "oscillator",
+                            "params": {"t_end": 5.0}})
+    assert not errors
+    metrics, passed, [(_, _, rows)] = _run_oscillator(
+        cfg.params, random.Random(0), cfg.tolerances)
+    assert passed
+    samples = len(range(0, len(rows), max(1, len(rows) // 200)))
+    assert len(calls) == samples + 1
+
+
+def test_lagrangian_check_evaluates_paired_h_once_per_probe(monkeypatch):
+    # each paired.H evaluation is one Newton solve for the velocities
+    solves = []
+    newton_solve = numkit.newton_solve
+
+    def counted(residual, x0):
+        solves.append(x0)
+        return newton_solve(residual, x0)
+
+    monkeypatch.setattr(numkit, "newton_solve", counted)
+    cfg, errors = validate({"scenario": "lagrangian-check",
+                            "params": {"count": 5}})
+    assert not errors
+    metrics, passed, _ = _run_lagrangian_check(
+        cfg.params, random.Random(0), cfg.tolerances)
+    assert passed
+    assert len(solves) == 5
+
+
+def test_lagrangian_check_fails_on_wrong_time_momentum(tmp_path, capsys,
+                                                       monkeypatch):
+    # legendre_agreement_max compares h1 with H1 at e = -p_{n+1}, so a
+    # shifted p_{n+1} shows
+    legendre_to_h1 = lagrangian.legendre_to_h1
+
+    def shifted(sys, pt):
+        p, p_np1, h1 = legendre_to_h1(sys, pt)
+        return p, p_np1 + 1e-6, h1
+
+    monkeypatch.setattr(lagrangian, "legendre_to_h1", shifted)
+    cfg = write_config(tmp_path / "lag.json",
+                       {"scenario": "lagrangian-check",
+                        "params": {"count": 5}})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "lagrangian-check: FAIL" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["metrics"]["legendre_agreement_max"] > 1e-7

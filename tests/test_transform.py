@@ -6,14 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from extphase import numkit
 from extphase.errors import DegeneracyError
-from extphase.numkit import value_of
+from extphase.numkit import sin, value_of
 from extphase.phase import (ExtendedPoint, HamiltonianSystem, map_jacobian,
                             symplectic_residual)
-from extphase.transform import (GeneratingFunction, apply_generating,
-                                embed_conventional, extended_identity,
-                                hessian_det, legendre_convert,
-                                restriction_report, transform_hamiltonian)
+from extphase.relativity import Boost, lorentz_generating
+from extphase.transform import (_LAYOUT, KINDS, GeneratingFunction,
+                                apply_generating, embed_conventional,
+                                extended_identity, hessian_det,
+                                legendre_convert, restriction_report,
+                                transform_hamiltonian)
 
 PT = ExtendedPoint(q=(1.3,), p=(-0.7,), t=0.4, e=0.9)
 
@@ -207,3 +210,51 @@ def test_legendre_convert_f4_to_f1_same_map():
     for a, b in ((img_f.q[0], img_g.q[0]), (img_f.p[0], img_g.p[0]),
                  (img_f.t, img_g.t), (img_f.e, img_g.e)):
         assert value_of(b) == pytest.approx(value_of(a), abs=1e-10)
+
+
+def test_transform_hamiltonian_solves_once(monkeypatch):
+    # the boost t' = gamma (t - beta x): e' and dt'/dt = gamma come from one
+    # solve with t seeded
+    solves = []
+    newton_solve = numkit.newton_solve
+
+    def counted(residual, x0):
+        solves.append(x0)
+        return newton_solve(residual, x0)
+
+    sys = HamiltonianSystem(
+        n=3, H=lambda q, p, t: 0.5 * sum(x * x for x in p) + 0.1 * t * q[0])
+    F = lorentz_generating(Boost(beta=(0.6, 0.0, 0.0)))
+    pt = ExtendedPoint(q=(0.3, -0.2, 0.5), p=(0.4, 0.1, -0.6), t=0.7, e=1.1)
+    want = (value_of(sys.H(pt.q, pt.p, pt.t)) - pt.e) / 1.25 \
+        + value_of(apply_generating(F, pt).e)
+    monkeypatch.setattr(numkit, "newton_solve", counted)
+    assert transform_hamiltonian(sys, F, pt) == pytest.approx(want,
+                                                               abs=1e-12)
+    assert len(solves) == 1
+
+
+def test_hessian_det_matches_sympy_for_every_kind():
+    # the Jacobian of the rule residual against sympy's mixed Hessian
+    # d^2 F / d(x, a) d(y, b), at the blocks _LAYOUT assigns from the point
+    sympy = pytest.importorskip("sympy")
+
+    def value(sin):
+        def F(x, y, a, b, s):
+            return sin(x[0] * y[1]) + x[1] * y[0] ** 2 + a * b \
+                + 0.3 * a * sin(y[0] + b) + 0.5 * x[0] * b ** 2 \
+                + x[1] * y[1] * a
+        return F
+
+    pt = ExtendedPoint(q=(0.7, -0.4), p=(0.3, 1.2), t=0.9, e=-0.6)
+    xs, ys = sympy.symbols("x0 x1 a"), sympy.symbols("y0 y1 b")
+    expr = value(sympy.sin)(xs[:2], ys[:2], xs[2], ys[2], 0)
+    mixed = sympy.Matrix(3, 3, lambda i, j: sympy.diff(expr, xs[i], ys[j]))
+    pairs = {"qt": pt.q + (pt.t,), "pe": pt.p + (pt.e,)}
+    for kind in KINDS:
+        unprimed, primed, first = _LAYOUT[kind]
+        xa, yb = (pairs[unprimed], pairs[primed]) if first \
+            else (pairs[primed], pairs[unprimed])
+        want = float(mixed.det().subs(dict(zip(xs + ys, xa + yb))))
+        F = GeneratingFunction(kind=kind, value=value(sin), n=2)
+        assert hessian_det(F, pt) == pytest.approx(want, rel=1e-12), kind
