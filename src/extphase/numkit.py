@@ -628,9 +628,11 @@ class IntegratorOptions:
                              "max_step")
 
 
-# Dormand-Prince 5(4) tableau (FSAL): stage i reads row i of _A, and the last
-# row is the 5th-order solution, so stage 7 is evaluated at y5
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau (FSAL): stage i runs at s + _C[i] h and reads
+# row i of _A, and the last row is the 5th-order solution, so stage 7 is
+# evaluated at y5.  _C holds Python floats, so the RHS gets a float stage
+# time, not a numpy scalar of the same value.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -644,6 +646,8 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 # local error estimate y5 - y4 = h * (_E @ K), free of the cancellation
 _E = _A[6] - _B4
+# the nonzero part _A[i, :i] of each row, sliced once: a contiguous view
+_ROWS = tuple(_A[i, :i] for i in range(7))
 
 # np.exceptions is numpy >= 1.25; pyproject allows 1.23
 _ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
@@ -655,17 +659,23 @@ MAX_STEPS = 10 ** 6
 def integrate(rhs, y0, s0, s1, opts=None, labels=None):
     """Adaptive Dormand-Prince 5(4) integration of y' = rhs(s, y) from s0 to s1.
 
-    Backward spans (s1 < s0) are allowed.  The final sample lands exactly on
-    s1.  A step with a non-finite stage is rejected and shrunk at once.
-    ``opts.min_step`` is a floor on every step, accepted or rejected: once
-    the next step is shorter than it, or too short to move s at all, the
-    integration raises :class:`IntegrationStallError` carrying the
-    :class:`Trajectory` of the samples taken so far.  More than
-    ``MAX_STEPS`` attempted steps raise :class:`StepBudgetError`, and a
+    rhs is called with s a float and y a float64 array.  Backward spans
+    (s1 < s0) are allowed.  The final sample lands exactly on s1.  A step
+    with a non-finite stage is rejected and shrunk at once, before any
+    later stage runs.  ``opts.min_step`` is a floor on every step, accepted
+    or rejected: once the next step is shorter than it, or too short to
+    move s at all, the integration raises :class:`IntegrationStallError`
+    carrying the :class:`Trajectory` of the samples taken so far.  More
+    than ``MAX_STEPS`` attempted steps raise :class:`StepBudgetError`, and a
     complex value in y0 or from rhs raises :class:`DomainEvaluationError`.
+    An empty y0, a non-finite s0 or s1, or s1 == s0 raises ValueError
+    before rhs is called.
     """
     if opts is None:
         opts = IntegratorOptions()
+    s0, s1 = float(s0), float(s1)
+    if not (math.isfinite(s0) and math.isfinite(s1)):
+        raise ValueError(f"integration span [{s0}, {s1}] is not finite")
     if s1 == s0:
         raise ValueError("empty integration span")
     try:
@@ -674,13 +684,22 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
             # array with only a ComplexWarning: an error for the whole call
             warnings.simplefilter("error", _ComplexWarning)
             y = np.array(y0, dtype=float)
+            m = len(y)
+            if m == 0:
+                raise ValueError("empty initial state")
             if labels is None:
-                labels = tuple(f"y{i}" for i in range(len(y)))
+                labels = tuple(f"y{i}" for i in range(m))
             direction = 1.0 if s1 > s0 else -1.0
-            s = float(s0)
-            K = np.empty((7, len(y)))
+            s = s0
+            K = np.empty((7, m))
+            # stage i: its time fraction, its tableau row, and as views of K
+            # the stages it reads and the row it fills
+            stages = [(_C[i], _ROWS[i], K[:i], K[i]) for i in range(1, 7)]
+            # K[i].dot(zeros) is NaN exactly when K[i] holds an inf or a
+            # NaN, since 0 * inf and 0 * nan are NaN
+            zeros = np.zeros(m)
             K[0] = rhs(s, y)
-            if not np.all(np.isfinite(K[0])):
+            if not math.isfinite(K[0].dot(zeros)):
                 raise DomainEvaluationError(
                     "right-hand side not finite at initial state")
             ss, ys, fs = [s], [y], [K[0].copy()]
@@ -695,18 +714,23 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
                     attempts += 1
                     h = direction * min(abs(h), abs(s1 - s))
                     err = math.inf
-                    for i in range(1, 7):
-                        yi = y + h * (_A[i, :i] @ K[:i])
-                        K[i] = rhs(s + _C[i] * h, yi)
+                    for c, row, Kprev, Ki in stages:
+                        # y + h * (row @ Kprev), formed in place in the new
+                        # array that the product returns
+                        yi = row @ Kprev
+                        yi *= h
+                        yi += y
+                        Ki[...] = rhs(s + c * h, yi)
                         # no later stage may be evaluated at a non-finite state
-                        if not np.all(np.isfinite(K[i])):
+                        if not math.isfinite(Ki.dot(zeros)):
                             break
                     else:
                         scale = opts.abs_tol \
                             + opts.rel_tol * np.maximum(np.abs(y), np.abs(yi))
-                        err = math.sqrt(float(np.mean((h * (_E @ K) / scale) ** 2)))
+                        q = h * (_E @ K) / scale
+                        err = math.sqrt(np.add.reduce(q * q) / m)
                     if err <= 1.0:
-                        s = float(s1) if abs(s1 - (s + h)) < 1e-14 * max(1.0, abs(s1)) \
+                        s = s1 if abs(s1 - (s + h)) < 1e-14 * max(1.0, abs(s1)) \
                             else s + h
                         y = yi  # the input of the last stage is y5
                         K[0] = K[6]  # FSAL

@@ -6,6 +6,7 @@ import operator
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,61 @@ def test_integrate_complex_numpy_value_raises_domain_error():
         integrate(lambda s, y: np.array([1j + 1.0]) * y, [1.0], 0.0, 1.0)
     with pytest.raises(DomainEvaluationError):
         integrate(lambda s, y: -y, np.array([1.0 + 0.5j]), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("y0, s0, s1", [
+    ([], 0.0, 1.0), (np.empty(0), 1.0, 0.0), ([1.0], 0.0, math.inf),
+    ([1.0], 0.0, -math.inf), ([1.0], math.nan, 1.0), ([1.0], 0.0, math.nan),
+    ([1.0], -math.inf, math.inf)])
+def test_integrate_rejects_bad_input_before_any_rhs_call(y0, s0, s1):
+    # an empty y0 has no error norm, and an infinite span would run the
+    # whole MAX_STEPS budget: both fail up front, with no warning
+    calls = []
+
+    def rhs(s, y):
+        calls.append(s)
+        return -y
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty initial state|not finite"):
+            integrate(rhs, y0, s0, s1)
+    assert calls == []
+
+
+# the same plain right-hand sides for integrate and scipy's DOP853
+def _euler_regularized_kepler(tp, y):
+    # Euler's regularized equation x'' = 2 e x + K^2 in t', with dt/dt' = x;
+    # K^2 = 1 and e = -1/2 from x0 = 2, p0 = 0
+    x, v, t = y
+    return [v, 2.0 * -0.5 * x + 1.0, x]
+
+
+def _driven_oscillator(t, y):
+    # parametric drive: q'' = -(1 + 0.3 cos 2t) q
+    q, p = y
+    return [p, -(1.0 + 0.3 * math.cos(2.0 * t)) * q]
+
+
+def _free_fall(t, y):
+    # H = p^2/2 - 1/x; from x0 = 1 at rest the collision is at t = pi / 2^1.5
+    x, p = y
+    return [p, -1.0 / x ** 2]
+
+
+@pytest.mark.parametrize("rhs, y0, s1", [
+    (_euler_regularized_kepler, [2.0, 0.0, 0.0], 5.0),
+    (_driven_oscillator, [1.0, 0.5], 10.0),
+    (_free_fall, [1.0, 0.0], 0.98 * math.pi / 2.0 ** 1.5),
+], ids=["regularized-kepler", "driven-oscillator", "free-fall"])
+def test_integrate_matches_scipy_dop853(rhs, y0, s1):
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    want = solve_ivp(rhs, (0.0, s1), y0, method="DOP853", rtol=1e-13,
+                     atol=1e-13).y[:, -1]
+    got = integrate(rhs, y0, 0.0, s1).final_state
+    # every final component is of order 0.1 or more, so relative is fair
+    assert np.all(np.abs(want) > 0.1)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -635,3 +691,127 @@ def test_trace_aborts_on_long_tapes_and_non_scalar_outputs(monkeypatch):
     for fn in (lambda x: [Dual(x[0], (1.0,))], lambda x: np.array([1.0]),
                lambda x: x[0] * (1.0 / 0.0)):
         assert trace(fn, 1) is fn
+
+
+# ---------------------------------------------------------------------------
+# reference integrator: the stage loop as it was before the precomputed
+# stage rows, the float stage time and the scalar finiteness checks;
+# integrate must reproduce its samples bit for bit
+# ---------------------------------------------------------------------------
+
+_REF_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_REF_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_REF_E = _REF_A[6] - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                               -92097 / 339200, 187 / 2100, 1 / 40])
+
+
+def _reference_integrate(rhs, y0, s0, s1, opts):
+    """(s, states, derivs, stalled) of the reference loop."""
+    y = np.array(y0, dtype=float)
+    direction = 1.0 if s1 > s0 else -1.0
+    s = float(s0)
+    K = np.empty((7, len(y)))
+    K[0] = rhs(s, y)
+    ss, ys, fs = [s], [y], [K[0].copy()]
+    h = direction * min(opts.max_step, abs(s1 - s0))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while (s1 - s) * direction > 0:
+            h = direction * min(abs(h), abs(s1 - s))
+            err = math.inf
+            for i in range(1, 7):
+                yi = y + h * (_REF_A[i, :i] @ K[:i])
+                K[i] = rhs(s + _REF_C[i] * h, yi)
+                if not np.all(np.isfinite(K[i])):
+                    break
+            else:
+                scale = opts.abs_tol \
+                    + opts.rel_tol * np.maximum(np.abs(y), np.abs(yi))
+                err = math.sqrt(float(np.mean((h * (_REF_E @ K) / scale) ** 2)))
+            if err <= 1.0:
+                s = float(s1) if abs(s1 - (s + h)) < 1e-14 * max(1.0, abs(s1)) \
+                    else s + h
+                y = yi
+                K[0] = K[6]
+                ss.append(s)
+                ys.append(y)
+                fs.append(K[0].copy())
+            factor = 0.9 * err ** -0.2 if 0 < err < math.inf \
+                else 5.0 if err == 0 else 0.2
+            h = direction * min(abs(h) * min(5.0, max(0.2, factor)),
+                                opts.max_step)
+            if abs(h) < opts.min_step or s + h == s:
+                break
+    return (np.array(ss), np.array(ys), np.array(fs),
+            (s1 - s) * direction > 0)
+
+
+def _system_rhs(kind, A, b, wall):
+    """A small system y' = f(s, y) of len(b) states: linear, nonlinear, or
+    linear with a NaN-signalling wall at s = wall that the run stalls on."""
+    def rhs(s, y):
+        if kind == "nonlinear":
+            return A @ np.sin(y) + b * math.cos(s) - 0.1 * y * y
+        if kind == "stall" and (s - wall[0]) * wall[1] > 0:
+            return np.full(len(y), math.nan)
+        return A @ y + b
+    return rhs
+
+
+@st.composite
+def _systems(draw):
+    m = draw(st.integers(1, 12))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    A = np.array(draw(st.lists(unit, min_size=m * m, max_size=m * m)))
+    b = np.array(draw(st.lists(unit, min_size=m, max_size=m)))
+    y0 = draw(st.lists(unit, min_size=m, max_size=m))
+    s0 = draw(unit)
+    direction = draw(st.sampled_from([1.0, -1.0]))
+    s1 = s0 + direction * draw(st.floats(0.05, 2.0))
+    kind = draw(st.sampled_from(["linear", "nonlinear", "stall"]))
+    wall = (s0 + (s1 - s0) * draw(st.floats(0.1, 0.9)), direction)
+    tol = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+    opts = IntegratorOptions(rel_tol=tol, abs_tol=tol,
+                             max_step=draw(st.sampled_from([0.1, 0.5])))
+    return _system_rhs(kind, A.reshape(m, m), b, wall), y0, s0, s1, opts
+
+
+@given(_systems())
+@settings(max_examples=60, deadline=None)
+def test_integrate_matches_reference_loop(system):
+    rhs, y0, s0, s1, opts = system
+    want_calls, got_calls = [], []
+
+    def want_rhs(s, y):
+        want_calls.append(s)
+        return rhs(s, y)
+
+    def got_rhs(s, y):
+        # the RHS contract: a float stage time and a float64 state array
+        assert type(s) is float
+        assert type(y) is np.ndarray and y.dtype == np.float64
+        got_calls.append(s)
+        return rhs(s, y)
+
+    want_s, want_states, want_derivs, stalled = _reference_integrate(
+        want_rhs, y0, s0, s1, opts)
+    if stalled:
+        with pytest.raises(IntegrationStallError) as exc:
+            integrate(got_rhs, y0, s0, s1, opts)
+        traj = exc.value.trajectory
+        assert exc.value.s_last == want_s[-1]
+        assert np.array_equal(exc.value.state_last, want_states[-1])
+    else:
+        traj = integrate(got_rhs, y0, s0, s1, opts)
+    # the same stage times in the same order, and the same samples
+    assert got_calls == [float(s) for s in want_calls]
+    assert np.array_equal(traj.s, want_s)
+    assert np.array_equal(traj.states, want_states)
+    assert np.array_equal(traj.derivs, want_derivs)
