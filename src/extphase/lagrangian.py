@@ -102,15 +102,31 @@ def legendre_to_h1(sys: LagrangianSystem, pt: ExtendedVelocityPoint):
 
 def paired_hamiltonian(sys: LagrangianSystem) -> HamiltonianSystem:
     """Numerical Legendre transform of L: H(q, p, t) = p.qdot - L at
-    the qdot solving p = dL/dqdot (damped Newton, seeded by p)."""
+    the qdot solving p = dL/dqdot (damped Newton, seeded by p).
+
+    At a float (q, p, t) the solve runs on kernels traced from its residual
+    on the first such call and kept as long as H (the Dual path if L does
+    not trace).
+    """
     n = sys.n
 
-    def H(q, p, t):
-        def residual(v):
-            _, g = numkit.grad_raw(lambda u: sys.L(q, tuple(u), t), list(v))
-            return [gi - pi for gi, pi in zip(g, p)]
+    def residual(x, v):
+        # x = (q.., p.., t)
+        q, t = tuple(x[:n]), x[2 * n]
+        _, g = numkit.grad_raw(lambda u: sys.L(q, tuple(u), t), list(v))
+        return [gi - pi for gi, pi in zip(g, x[n:2 * n])]
 
-        qdot = numkit.newton_solve(residual, [value_of(pi) for pi in p])
+    traced = []
+
+    def kernels():
+        if not traced:
+            traced.append(numkit.residual_kernels(residual, 2 * n + 1, n))
+        return traced[0]
+
+    def H(q, p, t):
+        qdot = numkit.newton_solve(
+            numkit.bind_residual(residual, [*q, *p, t], kernels),
+            [value_of(pi) for pi in p])
         return sum(a * b for a, b in zip(p, qdot)) - sys.L(q, tuple(qdot), t)
 
     return HamiltonianSystem(n=n, H=H, description="Legendre pair")

@@ -434,6 +434,54 @@ def trace(fn, m):
     return names["kernel"]
 
 
+def residual_kernels(res, k, m):
+    """The (value, Jacobian) kernels of res(params, u), a residual of m
+    unknowns u with k parameters, traced once over the flat (params.., u..);
+    None when either trace aborts.
+
+    Both are needed: the Jacobian kernel's values come from seeded duals,
+    whose primal divides as ``a * (1.0 / b)``, so they need not match the
+    plain residual's bits.  res must be a pure function of its arguments.
+    """
+    def value(x):
+        return res(x[:k], x[k:])
+
+    def jacobian(x):
+        return jacobian_raw(lambda u: res(x[:k], u), x[k:])
+
+    kernels = trace(value, k + m), trace(jacobian, k + m)
+    return None if kernels[0] is value or kernels[1] is jacobian else kernels
+
+
+def bind_residual(res, params, kernels):
+    """u -> res(params, u), a residual for `newton_solve`.
+
+    When every parameter is a float, kernels() is asked for the
+    `residual_kernels` of res; if it gives them, the value kernel takes the
+    place of res and the Jacobian kernel rides on it as the ``jacobian``
+    hook that `residual_jacobian` reads, and the unknowns must be floats
+    too.  Dual parameters, or kernels() giving None, keep the Dual path.
+    """
+    traced = kernels() if all(isinstance(v, _SCALARS) for v in params) \
+        else None
+    if traced is None:
+        return lambda u: res(params, u)
+    value, jacobian = traced
+
+    def residual(u):
+        return value([*params, *u])
+
+    residual.jacobian = lambda u: jacobian([*params, *u])
+    return residual
+
+
+def residual_jacobian(residual, x):
+    """``jacobian_raw(residual, x)``, or the residual's ``jacobian`` hook
+    at x when it has one."""
+    hook = getattr(residual, "jacobian", None)
+    return jacobian_raw(residual, x) if hook is None else hook(x)
+
+
 def solve_linear(A, b):
     """Gaussian elimination with partial pivoting, generic over dual entries."""
     n = len(b)
@@ -473,7 +521,8 @@ def newton_solve(residual, x0):
 
     After the primal residual converges, two polishing steps are taken so
     that any dual parts riding along converge to the exact implicit-function
-    derivatives as well.
+    derivatives as well.  Each (r, J) comes from `residual_jacobian`, so a
+    residual from `bind_residual` runs on its traced kernels.
     """
 
     def norm(r):
@@ -481,11 +530,11 @@ def newton_solve(residual, x0):
 
     x = list(x0)
     for _ in range(_NEWTON_MAX_ITER):
-        r, J = jacobian_raw(residual, x)
+        r, J = residual_jacobian(residual, x)
         rn = norm(r)
         if rn < _NEWTON_TOL:
             for _ in range(2):
-                r, J = jacobian_raw(residual, x)
+                r, J = residual_jacobian(residual, x)
                 dx = solve_linear(J, [-ri for ri in r])
                 x = [xi + di for xi, di in zip(x, dx)]
             return x
@@ -667,7 +716,8 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
     move s at all, the integration raises :class:`IntegrationStallError`
     carrying the :class:`Trajectory` of the samples taken so far.  More
     than ``MAX_STEPS`` attempted steps raise :class:`StepBudgetError`, and a
-    complex value in y0 or from rhs raises :class:`DomainEvaluationError`.
+    complex value in y0 or from rhs, or an ``OverflowError`` or
+    ``ZeroDivisionError`` from rhs, raises :class:`DomainEvaluationError`.
     An empty y0, a non-finite s0 or s1, or s1 == s0 raises ValueError
     before rhs is called.
     """
@@ -752,6 +802,12 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
         raise DomainEvaluationError(f"complex state or RHS value: {exc}") from None
     except _ComplexWarning as exc:
         raise DomainEvaluationError(f"complex state or RHS value: {exc}") from None
+    except (OverflowError, ZeroDivisionError) as exc:
+        # a plain-float operation that Python refuses rather than giving an
+        # inf or NaN, such as math.exp(1e3) or 1.0 / 0.0 inside rhs
+        raise DomainEvaluationError(
+            f"state or RHS value not evaluable: {type(exc).__name__}: {exc}"
+        ) from None
 
     traj = Trajectory(s=np.array(ss), states=np.array(ys), labels=tuple(labels),
                       derivs=np.array(fs))

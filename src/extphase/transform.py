@@ -15,13 +15,15 @@ for the primed pair.
 
 All value callables must use the generic arithmetic of
 :mod:`extphase.numkit` so the implicit transformation rules can be solved
-and differentiated by dual seeding.
+and differentiated by dual seeding, and must be pure functions of their
+arguments: a float solve runs on kernels traced once per F.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -125,23 +127,46 @@ def _pair_gradient(F, first, unprimed, primed, s, wrt_primed):
     return numkit.grad_raw(f, primed if wrt_primed else unprimed)[1]
 
 
+def _rule_residual(F, x, u):
+    """dF/d(unprimed pair) minus the momenta conjugate to the point's
+    unprimed pair, at the image's primed pair u; x is the point's unprimed
+    pair, those momenta and s, flat."""
+    m = F.n + 1
+    dU = _pair_gradient(F, _LAYOUT[F.kind][2], x[:m], u, x[2 * m],
+                        wrt_primed=False)
+    return [g - w for g, w in zip(dU, x[m:2 * m])]
+
+
+@lru_cache(maxsize=8)
+def _cached_rule_kernels(F):
+    m = F.n + 1
+    return numkit.residual_kernels(partial(_rule_residual, F), 2 * m + 1, m)
+
+
+def _rule_kernels(F):
+    """The traced kernels of F's rule residual (None if F.value does not
+    trace), kept for the last few Fs; an F whose value cannot be hashed
+    keeps the Dual path."""
+    try:
+        return _cached_rule_kernels(F)
+    except TypeError:
+        return None
+
+
 def _rule(F, pt):
     """The rule set of F's kind at pt, as (residual, start).
 
-    residual(u) is dF/d(unprimed pair) minus the momenta conjugate to the
-    point's unprimed pair, at the image's primed pair u; damped Newton
-    starts from the point's own primed pair.
+    residual(u) is `_rule_residual` at the image's primed pair u; at a
+    float point it runs on F's traced kernels.  Damped Newton starts from
+    the point's own primed pair.
     """
     if pt.n != F.n:
         raise ValueError(f"dimension mismatch: point has n={pt.n}, F has n={F.n}")
-    unprimed, primed, first = _LAYOUT[F.kind]
-    known = _pair(pt, unprimed)
-    target = _flip(unprimed, _pair(pt, _PARTNER[unprimed]))
-
-    def residual(u):
-        dU = _pair_gradient(F, first, known, u, pt.s, wrt_primed=False)
-        return [g - w for g, w in zip(dU, target)]
-
+    unprimed, primed, _ = _LAYOUT[F.kind]
+    x = _pair(pt, unprimed) + _flip(unprimed, _pair(pt, _PARTNER[unprimed])) \
+        + [pt.s]
+    residual = numkit.bind_residual(partial(_rule_residual, F), x,
+                                    lambda: _rule_kernels(F))
     return residual, _pair(pt, primed)
 
 
@@ -149,7 +174,7 @@ def _det(residual, u):
     """Determinant of the mixed Hessian d^2 F / d(x,a) d(y,b) at u: the
     Jacobian of the rule residual (its transpose for F3, whose unprimed pair
     fills (y, b))."""
-    _, rows = numkit.jacobian_raw(residual, u)
+    _, rows = numkit.residual_jacobian(residual, u)
     return float(np.linalg.det(np.array([[value_of(r) for r in row]
                                          for row in rows])))
 

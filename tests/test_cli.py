@@ -282,6 +282,23 @@ def test_step_budget_exit_codes(tmp_path, capsys, monkeypatch):
     assert report["metrics"] == {"runner_failed": 1.0}
 
 
+def test_rhs_overflow_is_a_typed_failure(tmp_path, capsys):
+    # e^{f t} with f = 1e8 overflows math.exp within the first steps; the
+    # run must end through DomainEvaluationError, not a bare OverflowError
+    cfg = write_config(tmp_path / "overflow.json", {
+        "scenario": "oscillator",
+        "params": {"eps": 1e-300, "f": 1e8, "q0": [0.001, 1e-300],
+                   "p0": [0.5, 2.0]},
+        "seed": 74, "tolerances": {"max_step": 0.001}})
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"].startswith("DomainEvaluationError")
+    assert "OverflowError" in report["error"]
+    assert report["metrics"] == {"runner_failed": 1.0}
+
+
 def test_oscillator_seeds_coefficients_once_per_sample(monkeypatch):
     # the Leach invariant and the positivity residual of a sampled point
     # share one seeding of the coefficients; the RHS kernel traces one more

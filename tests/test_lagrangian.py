@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from extphase import numkit
 from extphase.errors import DegenerateTimeError
 from extphase.lagrangian import (ExtendedVelocityPoint, LagrangianSystem,
                                  euler_lagrange_residual, extended_lagrangian,
@@ -67,6 +70,80 @@ def test_paired_hamiltonian_matches_closed_form():
     sys = paired_hamiltonian(harmonic())
     got = value_of(sys.H((1.2,), (0.7,), 0.0))
     assert got == pytest.approx(0.5 * 0.7 ** 2 + 0.5 * 1.2 ** 2, abs=1e-12)
+
+
+def quartic():
+    """A non-quadratic L: p = dL/dqdot is cubic in qdot, so the Newton solve
+    for qdot takes several iterations."""
+    def L(q, qdot, t):
+        return sum(0.5 * v * v + v ** 4 / 12.0 for v in qdot) \
+            + 0.3 * t * q[0] * qdot[1] - 0.5 * q[1] ** 2
+    return LagrangianSystem(n=2, L=L)
+
+
+def _hexes(values):
+    return [value_of(v).hex() for v in values]
+
+
+def dual_path_h(sys, q, p, t):
+    """paired_hamiltonian's H by seeded duals in every Newton iteration."""
+    def residual(v):
+        _, g = numkit.grad_raw(lambda u: sys.L(q, tuple(u), t), list(v))
+        return [gi - pi for gi, pi in zip(g, p)]
+
+    qdot = numkit.newton_solve(residual, list(p))
+    return sum(a * b for a, b in zip(p, qdot)) - sys.L(q, tuple(qdot), t)
+
+
+_unit = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
+# |p| >= 0.6 keeps the start qdot = p off the root: their first
+# components differ by the root's qdot^3 / 3
+_momentum = st.floats(min_value=0.6, max_value=2.0) | st.floats(
+    min_value=-2.0, max_value=-0.6)
+
+
+@given(st.lists(_unit, min_size=3, max_size=3),
+       st.lists(_momentum, min_size=2, max_size=2))
+@settings(max_examples=50, deadline=None)
+def test_paired_hamiltonian_kernels_match_dual_path(qt, p):
+    # the float solve runs on kernels traced from the residual: no seeding
+    # after the trace's own, and the same bits as the Dual path
+    sys = quartic()
+    q, p, t = tuple(qt[:2]), tuple(p), qt[2]
+    calls = []
+    jacobian_raw = numkit.jacobian_raw
+
+    def counted(fvec, x):
+        calls.append(x)
+        return jacobian_raw(fvec, x)
+
+    numkit.jacobian_raw = counted
+    try:
+        want = dual_path_h(sys, q, p, t)
+        ref_calls = len(calls)
+        H = paired_hamiltonian(sys).H
+        H(q, p, t)
+        del calls[:]
+        got = H(q, p, t)
+    finally:
+        numkit.jacobian_raw = jacobian_raw
+    # two or more iterations, the converged check and two polishing steps
+    assert ref_calls >= 5
+    assert calls == []
+    assert value_of(got).hex() == value_of(want).hex()
+
+
+def test_paired_hamiltonian_keeps_dual_path_at_dual_points():
+    # a seeded H (a derivative of H) goes through the Dual path's solve
+    sys = quartic()
+    H = paired_hamiltonian(sys).H
+    q, p, t = (0.4, -0.2), (1.1, -0.7), 0.3
+    H(q, p, t)
+    got = numkit.grad_raw(lambda x: H(x[:2], x[2:4], x[4]), [*q, *p, t])
+    want = numkit.grad_raw(lambda x: dual_path_h(sys, x[:2], x[2:4], x[4]),
+                           [*q, *p, t])
+    assert value_of(got[0]).hex() == value_of(want[0]).hex()
+    assert _hexes(got[1]) == _hexes(want[1])
 
 
 def exact_trajectory(time_map, dtime_map, s_end=3.0, m=6001):

@@ -310,6 +310,17 @@ def test_integrate_complex_rhs_value_raises_domain_error():
         integrate(lambda s, y: [object()], [0.0], 0.0, 1.0)
 
 
+@pytest.mark.parametrize("rhs", [
+    # math.exp overflows past s = 0.355, inside the first step
+    lambda s, y: [1.0 + 0.0 * math.exp(2e3 * s)],
+    # the first step's last stages run at s = 0.5
+    lambda s, y: [1.0 / (s - 0.5)],
+], ids=["overflow", "zero division"])
+def test_integrate_refused_float_operation_raises_domain_error(rhs):
+    with pytest.raises(DomainEvaluationError, match="not evaluable"):
+        integrate(rhs, [1.0], 0.0, 1.0, IntegratorOptions(max_step=0.5))
+
+
 def test_integrate_complex_numpy_value_raises_domain_error():
     # numpy casts a complex array into the float state or stage array with
     # only a ComplexWarning, which would drop the imaginary part

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from extphase import numkit
+from extphase import numkit, transform
+from extphase.celestial import TimeScaleSpec, timescale_generating
 from extphase.errors import DegeneracyError
 from extphase.numkit import sin, value_of
 from extphase.phase import (ExtendedPoint, HamiltonianSystem, map_jacobian,
@@ -258,3 +261,178 @@ def test_hessian_det_matches_sympy_for_every_kind():
         want = float(mixed.det().subs(dict(zip(xs + ys, xa + yb))))
         F = GeneratingFunction(kind=kind, value=value(sin), n=2)
         assert hessian_det(F, pt) == pytest.approx(want, rel=1e-12), kind
+
+
+# ---------------------------------------------------------------------------
+# traced rule kernels: at a float point the rule residual and its Jacobian
+# run on kernels traced once per F; they must reproduce the Dual path bit
+# for bit, and dual points and untraceable Fs must keep the Dual path
+# ---------------------------------------------------------------------------
+
+
+class _Unhashable:
+    """A value callable that cannot be hashed, so its F has no cache entry
+    and keeps the Dual path: the reference for the kernels."""
+
+    __hash__ = None
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, *args):
+        return self.fn(*args)
+
+
+def _dual_path(F):
+    return GeneratingFunction(kind=F.kind, value=_Unhashable(F.value), n=F.n)
+
+
+def _hexes(values):
+    # float.hex tells -0.0 from 0.0
+    return [value_of(v).hex() for v in values]
+
+
+def _image_hexes(img):
+    return _hexes([*img.q, *img.p, img.t, img.e])
+
+
+def _outcome(fn, *args):
+    """The image's bits, or the error type and message."""
+    try:
+        return _image_hexes(fn(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _polynomial(n, terms):
+    """x.y + a b plus the terms c * prod(v ** k) over the variables
+    (x.., y.., a, b, s): a well-conditioned map for small coefficients."""
+
+    def value(x, y, a, b, s):
+        acc = sum(xi * yi for xi, yi in zip(x, y)) + a * b
+        variables = [*x, *y, a, b, s]
+        for c, powers in terms:
+            term = c
+            for v, k in zip(variables, powers):
+                if k:
+                    term = term * v ** k
+            acc = acc + term
+        return acc
+
+    return value
+
+
+_unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def _polynomial_cases(draw):
+    n = draw(st.integers(1, 3))
+    m = 2 * n + 3
+    terms = draw(st.lists(
+        st.tuples(st.floats(min_value=-0.3, max_value=0.3, allow_nan=False),
+                  st.lists(st.integers(0, 2), min_size=m, max_size=m)),
+        max_size=4))
+    F = GeneratingFunction(kind=draw(st.sampled_from(KINDS)),
+                           value=_polynomial(n, terms), n=n)
+    vals = draw(st.lists(_unit, min_size=2 * n + 3, max_size=2 * n + 3))
+    pt = ExtendedPoint(q=tuple(vals[:n]), p=tuple(vals[n:2 * n]),
+                       t=vals[2 * n], e=vals[2 * n + 1] + 1.5,
+                       s=vals[2 * n + 2])
+    return F, pt
+
+
+@given(_polynomial_cases())
+@settings(max_examples=60, deadline=None)
+def test_traced_rule_matches_dual_path(case):
+    F, pt = case
+    ref = _dual_path(F)
+    residual, u = transform._rule(F, pt)
+    ref_residual, ref_u = transform._rule(ref, pt)
+    assert hasattr(residual, "jacobian")
+    assert not hasattr(ref_residual, "jacobian")
+    assert u == ref_u
+    # the plain residual, and (r, J) of one seeding, at the start and off it
+    for v in (u, [ui + 0.25 for ui in u]):
+        assert _hexes(residual(v)) == _hexes(ref_residual(v))
+        r, rows = residual.jacobian(v)
+        ref_r, ref_rows = numkit.jacobian_raw(ref_residual, v)
+        assert _hexes(r) == _hexes(ref_r)
+        assert [_hexes(row) for row in rows] \
+            == [_hexes(row) for row in ref_rows]
+    assert hessian_det(F, pt).hex() == hessian_det(ref, pt).hex()
+    assert _outcome(apply_generating, F, pt) \
+        == _outcome(apply_generating, ref, pt)
+
+
+BOOST_PT = ExtendedPoint(q=(0.3, -0.2, 0.5), p=(0.4, 0.1, -0.6), t=0.7,
+                         e=1.1)
+# apply_generating's image of BOOST_PT under the beta = (0.6, 0.2, 0) boost
+# F2, as the Dual path gives it
+BOOST_IMAGE = ['-0x1.72e930406e7acp-3', '-0x1.7104bb3df047cp-2',
+               '0x1.0000000000000p-1', '-0x1.5ab1b37fba96bp-2',
+               '-0x1.2b6566996b535p-3', '-0x1.3333333333333p-1',
+               '0x1.722767d908ccbp-1', '0x1.159d8de2c6999p+0']
+
+
+@pytest.fixture
+def jacobian_calls(monkeypatch):
+    calls = []
+    jacobian_raw = numkit.jacobian_raw
+
+    def counted(fvec, x):
+        calls.append(x)
+        return jacobian_raw(fvec, x)
+
+    monkeypatch.setattr(numkit, "jacobian_raw", counted)
+    return calls
+
+
+def test_repeat_float_apply_runs_on_cached_kernels(jacobian_calls):
+    F = lorentz_generating(Boost(beta=(0.6, 0.2, 0.0)))
+    # the first float apply traces F's kernels: one seeding, over leaves
+    assert _image_hexes(apply_generating(F, BOOST_PT)) == BOOST_IMAGE
+    assert len(jacobian_calls) == 1
+    jacobian_calls.clear()
+    assert _image_hexes(apply_generating(F, BOOST_PT)) == BOOST_IMAGE
+    assert jacobian_calls == []
+
+
+def test_dual_points_and_untraceable_fs_keep_dual_path(jacobian_calls):
+    F = lorentz_generating(Boost(beta=(0.6, 0.2, 0.0)))
+    apply_generating(F, BOOST_PT)
+    jacobian_calls.clear()
+    # the map Jacobian seeds the point: one seeding for the map, and the
+    # inner solve at the dual point seeds its rule on every iteration
+    rep = restriction_report(F, BOOST_PT)
+    assert len(jacobian_calls) >= 5
+    assert (rep.hessian_det.hex(), rep.liouville_det.hex()) \
+        == ('-0x1.0000000000000p+0', '0x1.0000000000002p+0')
+    assert (rep.time_global, rep.spacetime_split, rep.subspace_liouville,
+            rep.preserves_H1) == (False, False, False, True)
+    # an unhashable value, a quadrature in the value and a converted F:
+    # no kernels, and the Dual path's seedings in every Newton iteration
+    timescale = timescale_generating(TimeScaleSpec(xi=lambda t: 1.0 + t))
+    converted = legendre_convert(GeneratingFunction(
+        kind="F2", value=lambda q, pp, t, ep, s: q[0] * pp[0]
+        + 0.5 * q[0] ** 2 - t * ep, n=1), "F3")
+    for G, pt, want in [
+            (_dual_path(F), BOOST_PT, BOOST_IMAGE),
+            (timescale, ExtendedPoint(q=(1.4,), p=(-0.3,), t=1.0, e=0.7),
+             ['0x1.6666666666666p+0', '-0x1.3333333333333p-2',
+              '0x1.62e42fefa39eep-1', '0x1.6666666666667p+0']),
+            (converted, PT,
+             ['0x1.4cccccccccccdp+0', '-0x1.0000000000000p+1',
+              '0x1.999999999999ap-2', '0x1.ccccccccccccdp-1'])]:
+        assert transform._rule_kernels(G) is None
+        jacobian_calls.clear()
+        assert _image_hexes(apply_generating(G, pt)) == want
+        assert len(jacobian_calls) >= 5
+
+
+def test_rule_kernel_cache_is_bounded():
+    cache = transform._cached_rule_kernels
+    for i in range(100):
+        apply_generating(shift_f2(a=0.01 * i), PT)
+    info = cache.cache_info()
+    assert info.currsize == info.maxsize == 8
