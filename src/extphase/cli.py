@@ -277,10 +277,10 @@ def _run_bracket_suite(params, rng, opts):
                 q=tuple(rng.uniform(0.5, 1.5) for _ in range(n)),
                 p=tuple(rng.uniform(-1.0, 1.0) for _ in range(n)),
                 t=rng.uniform(-1.0, 1.0), e=rng.uniform(-1.0, 1.0))
+            brackets = phase.poisson_matrix(coords, pt)
             for a in range(m):
                 for b in range(m):
-                    val = value_of(phase.poisson_extended(
-                        coords[a], coords[b], pt))
+                    val = value_of(brackets[a][b])
                     worst = max(worst, abs(val - J[a, b]))
     metrics = {"bracket_max_error": worst}
     return metrics, worst <= 1e-12, []

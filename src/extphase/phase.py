@@ -149,26 +149,43 @@ def propagate(pt0, sys, par, s_span, opts=None):
                             labels=trajectory_labels(n))
 
 
-def poisson_extended(F, G, pt):
-    """Extended Poisson bracket {F, G}_e at one point.
-
-    F, G are scalar fields taking (q, p, t, e) with generic arithmetic.
-    """
+def _field_gradients(fields, pt):
+    """The gradients of the scalar fields over (q.., p.., t, e) at pt,
+    from one seeding."""
     n = pt.n
 
-    def flat(H):
-        def h(x):
-            return H(x[:n], x[n:2 * n], x[2 * n], x[2 * n + 1])
-        return h
+    def flat(x):
+        q, p, t, e = x[:n], x[n:2 * n], x[2 * n], x[2 * n + 1]
+        return [f(q, p, t, e) for f in fields]
 
-    x0 = list(pt.q) + list(pt.p) + [pt.t, pt.e]
-    _, gF = numkit.grad_raw(flat(F), x0)
-    _, gG = numkit.grad_raw(flat(G), x0)
+    return numkit.jacobian_raw(flat, [*pt.q, *pt.p, pt.t, pt.e])[1]
+
+
+def _bracket(gF, gG, n):
+    """{F, G}_e from the gradients of F and G over (q.., p.., t, e)."""
     acc = 0.0
     for i in range(n):
         acc = acc + gF[i] * gG[n + i] - gF[n + i] * gG[i]
     acc = acc - gF[2 * n] * gG[2 * n + 1] + gF[2 * n + 1] * gG[2 * n]
     return acc
+
+
+def poisson_extended(F, G, pt):
+    """Extended Poisson bracket {F, G}_e at one point.
+
+    F, G are scalar fields taking (q, p, t, e) with generic arithmetic; both
+    gradients come from one seeding.
+    """
+    gF, gG = _field_gradients([F, G], pt)
+    return _bracket(gF, gG, pt.n)
+
+
+def poisson_matrix(fields, pt):
+    """The matrix of extended brackets {fields[a], fields[b]}_e at pt, as
+    nested lists, from one seeding of all the fields; each entry is
+    bit-identical to `poisson_extended` of the pair."""
+    grads = _field_gradients(fields, pt)
+    return [[_bracket(gF, gG, pt.n) for gG in grads] for gF in grads]
 
 
 def symplectic_matrix(n):

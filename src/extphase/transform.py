@@ -153,6 +153,14 @@ def _rule_kernels(F):
         return None
 
 
+def _rule_params(F, pt):
+    """`_rule_residual`'s x at pt: the unprimed pair of F's kind, the
+    momenta conjugate to it and s."""
+    unprimed = _LAYOUT[F.kind][0]
+    return _pair(pt, unprimed) \
+        + _flip(unprimed, _pair(pt, _PARTNER[unprimed])) + [pt.s]
+
+
 def _rule(F, pt):
     """The rule set of F's kind at pt, as (residual, start).
 
@@ -162,12 +170,10 @@ def _rule(F, pt):
     """
     if pt.n != F.n:
         raise ValueError(f"dimension mismatch: point has n={pt.n}, F has n={F.n}")
-    unprimed, primed, _ = _LAYOUT[F.kind]
-    x = _pair(pt, unprimed) + _flip(unprimed, _pair(pt, _PARTNER[unprimed])) \
-        + [pt.s]
-    residual = numkit.bind_residual(partial(_rule_residual, F), x,
+    residual = numkit.bind_residual(partial(_rule_residual, F),
+                                    _rule_params(F, pt),
                                     lambda: _rule_kernels(F))
-    return residual, _pair(pt, primed)
+    return residual, _pair(pt, _LAYOUT[F.kind][1])
 
 
 def _det(residual, u):
@@ -188,6 +194,14 @@ def _solved_det(residual, u):
     return det
 
 
+def _image(F, known, u, s):
+    """The image whose primed pair (of F's kind) is u, of a point whose
+    unprimed pair is known: its other pair is -dF/d(primed), flipped."""
+    _, primed, first = _LAYOUT[F.kind]
+    dP = _pair_gradient(F, first, known, u, s, wrt_primed=True)
+    return _point(primed, u, _flip(primed, [-g for g in dP]), s)
+
+
 def _apply(F, pt):
     """Solve the rule set of F's kind at pt.
 
@@ -196,13 +210,11 @@ def _apply(F, pt):
     Returns (image point, resolved argument blocks (x, y, a, b), residual,
     root).
     """
-    unprimed, primed, first = _LAYOUT[F.kind]
+    unprimed, _, first = _LAYOUT[F.kind]
     residual, start = _rule(F, pt)
     u = numkit.newton_solve(residual, start)
     known = _pair(pt, unprimed)
-    dP = _pair_gradient(F, first, known, u, pt.s, wrt_primed=True)
-    image = _point(primed, u, _flip(primed, [-g for g in dP]), pt.s)
-    return image, _blocks(first, known, u), residual, u
+    return _image(F, known, u, pt.s), _blocks(first, known, u), residual, u
 
 
 def apply_generating(F, pt):
@@ -245,18 +257,23 @@ def legendre_convert(F, target_kind):
     """Build an equivalent generating function of another kind.
 
     The converted value resolves the full transformation configuration from
-    its own arguments through the source map (damped Newton, started from
-    its primed pair's values) and shifts the source value by the
-    appropriate exchange terms.  Unsolvable exchanges
-    (e.g. the identity map as F1) surface as :class:`DegeneracyError` when
-    the converted function is evaluated or applied.
+    its own arguments with one damped Newton solve over 2(n+1) unknowns:
+    the source point's missing pair and F's primed pair.  The residual
+    stacks F's rule at the source point on the mismatch between the image's
+    target-primed pair and the value's own; Newton starts from that pair,
+    and from the primed pair (of F's kind) of the source point it implies.
+    The source value is then shifted by the appropriate exchange terms.
+    Unsolvable exchanges (e.g. the identity map as F1, whose joint Jacobian
+    is singular) surface as :class:`DegeneracyError` when the converted
+    function is evaluated or applied.
     """
     if target_kind not in KINDS:
         raise ValueError(f"unknown target kind {target_kind!r}")
     if target_kind == F.kind:
         return F
-    n = F.n
+    n, m = F.n, F.n + 1
     unprimed, primed, first = _LAYOUT[target_kind]
+    f_unprimed, f_primed, f_first = _LAYOUT[F.kind]
 
     def converted(x, y, a, b, s):
         # the target's unprimed pair is known; its partner is the unknown
@@ -266,15 +283,19 @@ def legendre_convert(F, target_kind):
         def source(u):
             return _point(unprimed, known, u, s)
 
-        def residual(u):
-            img = _apply(F, source(u))[0]
-            return [g - w for g, w in zip(_pair(img, primed), want)]
+        def residual(w):
+            src, v = source(w[:m]), w[m:]
+            got = v if primed == f_primed else \
+                _pair(_image(F, _pair(src, f_unprimed), v, s), primed)
+            return _rule_residual(F, _rule_params(F, src), v) \
+                + [g - c for g, c in zip(got, want)]
 
-        src = source(numkit.newton_solve(residual, want))
-        img, src_args, _, _ = _apply(F, src)
-        src_val = F.value(*src_args, s)
-        return src_val - _extra(F.kind, src, img) \
-            + _extra(target_kind, src, img)
+        w = numkit.newton_solve(residual, want + _pair(source(want), f_primed))
+        src, v = source(w[:m]), w[m:]
+        f_known = _pair(src, f_unprimed)
+        img = _image(F, f_known, v, s)
+        return F.value(*_blocks(f_first, f_known, v), s) \
+            - _extra(F.kind, src, img) + _extra(target_kind, src, img)
 
     return GeneratingFunction(kind=target_kind, value=converted, n=n)
 

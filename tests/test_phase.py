@@ -1,6 +1,8 @@
 """Extended points, canonical equations, Poisson brackets, symplecticity."""
 
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extphase
+from extphase import cli, numkit
 from extphase.errors import DomainEvaluationError
 from extphase.numkit import value_of
 from extphase.phase import (ExtendedPoint, HamiltonianSystem, Parameterization,
                             extended_rhs, extended_value, lift, map_jacobian,
-                            point_to_state, poisson_extended, propagate,
-                            state_to_point, symplectic_matrix,
+                            point_to_state, poisson_extended, poisson_matrix,
+                            propagate, state_to_point, symplectic_matrix,
                             symplectic_residual, trajectory_labels)
 
 coord = st.floats(min_value=-3.0, max_value=3.0,
@@ -156,6 +159,88 @@ def test_bracket_antisymmetry_and_leibniz():
         + value_of(G(pt.q, pt.p, pt.t, pt.e)) \
         * value_of(poisson_extended(F, K, pt))
     assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def _field(terms):
+    """A scalar field of (q, p, t, e): the sum of c * prod(v ** k), each
+    term times sin or cos of one variable or not."""
+
+    def f(q, p, t, e):
+        variables = [*q, *p, t, e]
+        acc = 0.0
+        for c, powers, wave, j in terms:
+            term = c
+            for v, k in zip(variables, powers):
+                if k:
+                    term = term * v ** k
+            if wave is not None:
+                term = term * wave(variables[j])
+            acc = acc + term
+        return acc
+
+    return f
+
+
+@st.composite
+def _bracket_cases(draw):
+    n = draw(st.integers(1, 3))
+    m = 2 * n + 2
+    term = st.tuples(
+        st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+        st.lists(st.integers(0, 3), min_size=m, max_size=m),
+        st.sampled_from([None, numkit.sin, numkit.cos]),
+        st.integers(0, m - 1))
+    fields = draw(st.lists(st.lists(term, max_size=3).map(_field),
+                           min_size=1, max_size=4))
+    x = draw(st.lists(coord, min_size=m, max_size=m))
+    return n, fields, x, draw(st.booleans())
+
+
+def _bits(x):
+    """x's floats as hex, through nested lists and every dual layer."""
+    if isinstance(x, list):
+        return list(map(_bits, x))
+    if isinstance(x, numkit.Dual):
+        return _bits(x.val), tuple(map(_bits, x.eps))
+    return float(x).hex()
+
+
+@given(_bracket_cases())
+@settings(max_examples=60, deadline=None)
+def test_poisson_matrix_matches_pairwise_brackets(case):
+    n, fields, x, seeded = case
+
+    def both(z):
+        pt = ExtendedPoint(q=tuple(z[:n]), p=tuple(z[n:2 * n]), t=z[2 * n],
+                           e=z[2 * n + 1])
+        got.append(poisson_matrix(fields, pt))
+        want.append([[poisson_extended(F, G, pt) for G in fields]
+                     for F in fields])
+        return []
+
+    got, want = [], []
+    # a seeded point has Dual entries, as inside a map Jacobian
+    if seeded:
+        numkit.jacobian_raw(both, x)
+    else:
+        both(x)
+    assert _bits(got[0]) == _bits(want[0])
+
+
+def test_bracket_suite_seeds_once_per_point(monkeypatch):
+    # one seeding of the 2n + 2 coordinates per probe point and dimension,
+    # where pairwise brackets made 2 (2n + 2)^2
+    calls = Counter()
+    for name in ("grad_raw", "jacobian_raw"):
+        def counted(*args, name=name, fn=getattr(numkit, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(numkit, name, counted)
+    metrics, passed, _ = cli.RUNNERS["bracket-suite"]({"count": 5},
+                                                      random.Random(3), None)
+    assert passed and metrics["bracket_max_error"] <= 1e-12
+    assert calls == {"jacobian_raw": 3 * 5}
 
 
 def test_symplectic_matrix_structure():

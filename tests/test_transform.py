@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 
 from extphase import numkit, transform
 from extphase.celestial import TimeScaleSpec, timescale_generating
-from extphase.errors import DegeneracyError
+from extphase.errors import DegeneracyError, ExtphaseError
 from extphase.numkit import sin, value_of
 from extphase.phase import (ExtendedPoint, HamiltonianSystem, map_jacobian,
                             symplectic_residual)
 from extphase.relativity import Boost, lorentz_generating
 from extphase.transform import (_LAYOUT, KINDS, GeneratingFunction,
+                                _apply, _extra, _pair, _point,
                                 apply_generating, embed_conventional,
                                 extended_identity, hessian_det,
                                 legendre_convert, restriction_report,
@@ -304,20 +306,24 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def _add_terms(acc, variables, terms):
+    """acc plus the terms c * prod(v ** k) over the variables."""
+    for c, powers in terms:
+        term = c
+        for v, k in zip(variables, powers):
+            if k:
+                term = term * v ** k
+        acc = acc + term
+    return acc
+
+
 def _polynomial(n, terms):
     """x.y + a b plus the terms c * prod(v ** k) over the variables
     (x.., y.., a, b, s): a well-conditioned map for small coefficients."""
 
     def value(x, y, a, b, s):
-        acc = sum(xi * yi for xi, yi in zip(x, y)) + a * b
-        variables = [*x, *y, a, b, s]
-        for c, powers in terms:
-            term = c
-            for v, k in zip(variables, powers):
-                if k:
-                    term = term * v ** k
-            acc = acc + term
-        return acc
+        return _add_terms(sum(xi * yi for xi, yi in zip(x, y)) + a * b,
+                          [*x, *y, a, b, s], terms)
 
     return value
 
@@ -436,3 +442,146 @@ def test_rule_kernel_cache_is_bounded():
         apply_generating(shift_f2(a=0.01 * i), PT)
     info = cache.cache_info()
     assert info.currsize == info.maxsize == 8
+
+
+# ---------------------------------------------------------------------------
+# legendre_convert: one joint Newton solve per converted value, against the
+# nested solve it replaced (Newton over the source point's missing pair,
+# with a full `_apply` of F in every residual evaluation)
+# ---------------------------------------------------------------------------
+
+
+def _reference_legendre_convert(F, target_kind):
+    """`legendre_convert` as it was before the joint solve."""
+    if target_kind == F.kind:
+        return F
+    unprimed, primed, first = _LAYOUT[target_kind]
+
+    def converted(x, y, a, b, s):
+        xa, yb = list(x) + [a], list(y) + [b]
+        known, want = (xa, yb) if first else (yb, xa)
+
+        def source(u):
+            return _point(unprimed, known, u, s)
+
+        def residual(u):
+            img = _apply(F, source(u))[0]
+            return [g - w for g, w in zip(_pair(img, primed), want)]
+
+        src = source(numkit.newton_solve(residual, want))
+        img, src_args, _, _ = _apply(F, src)
+        src_val = F.value(*src_args, s)
+        return src_val - _extra(F.kind, src, img) \
+            + _extra(target_kind, src, img)
+
+    return GeneratingFunction(kind=target_kind, value=converted, n=F.n)
+
+
+def _values_or_error(fn, *args):
+    """The floats fn gives (a scalar, or an image's coordinates), or the
+    type of the `ExtphaseError` it raises."""
+    try:
+        out = fn(*args)
+    except ExtphaseError as exc:
+        return type(exc)
+    if isinstance(out, ExtendedPoint):
+        return [value_of(v) for v in (*out.q, *out.p, out.t, out.e)]
+    return [value_of(out)]
+
+
+@st.composite
+def _near_identity_cases(draw):
+    """The extended identity F2 plus small polynomial terms, and a point."""
+    n = draw(st.integers(1, 3))
+    m = 2 * n + 3
+    terms = draw(st.lists(
+        st.tuples(st.floats(min_value=-0.3, max_value=0.3, allow_nan=False),
+                  st.lists(st.integers(0, 2), min_size=m, max_size=m)),
+        max_size=3))
+    identity = extended_identity(n).value
+
+    def value(q, pp, t, ep, s):
+        return _add_terms(identity(q, pp, t, ep, s), [*q, *pp, t, ep, s],
+                          terms)
+
+    vals = draw(st.lists(_unit, min_size=2 * n + 3, max_size=2 * n + 3))
+    pt = ExtendedPoint(q=tuple(vals[:n]), p=tuple(vals[n:2 * n]),
+                       t=vals[2 * n], e=vals[2 * n + 1] + 1.5,
+                       s=vals[2 * n + 2])
+    return GeneratingFunction(kind="F2", value=value, n=n), pt
+
+
+@given(_near_identity_cases())
+@settings(max_examples=20, deadline=None)
+def test_legendre_convert_matches_nested_reference(case):
+    F, pt = case
+    G, ref = legendre_convert(F, "F3"), _reference_legendre_convert(F, "F3")
+    # F3 arguments (q', p, t', e, s), here at the point's own values
+    cases = [(G.value, ref.value, (pt.q, pt.p, pt.t, pt.e, pt.s))]
+    # applying the reference nests three Newton solves over seeded duals,
+    # which takes seconds from n = 2 on
+    if F.n == 1:
+        cases.append((partial(apply_generating, G),
+                      partial(apply_generating, ref), (pt,)))
+    for fn, ref_fn, args in cases:
+        got, want = _values_or_error(fn, *args), _values_or_error(ref_fn, *args)
+        if isinstance(got, list) and isinstance(want, list):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("kind", ["F3", "F4"])
+def test_legendre_convert_shear_matches_source_and_reference(kind):
+    # p' = p - q, e' = e - t: both (p, p') and (e, e') are independent, so
+    # the shear has an F4, whose primed pair is the F2's own (the mismatch
+    # is then the primed pair itself), as well as an F3
+    def value(q, pp, t, ep, s):
+        return q[0] * pp[0] + 0.5 * q[0] ** 2 - t * ep - 0.5 * t ** 2
+
+    F = GeneratingFunction(kind="F2", value=value, n=1)
+    want = _values_or_error(apply_generating, F, PT)
+    for convert in (legendre_convert, _reference_legendre_convert):
+        got = _values_or_error(apply_generating, convert(F, kind), PT)
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_identity_as_f1_stays_degenerate(n):
+    pt = ExtendedPoint(q=(1.3,) * n, p=(-0.7,) * n, t=0.4, e=0.9)
+    for convert in (legendre_convert, _reference_legendre_convert):
+        with pytest.raises(DegeneracyError):
+            apply_generating(convert(extended_identity(n), "F1"), pt)
+
+
+def test_converted_apply_solves_once_per_value(monkeypatch):
+    # every converted value is one joint Newton solve; the nested solve it
+    # replaced made 50 for this apply, the F2 itself makes 1
+    solves = []
+    newton_solve = numkit.newton_solve
+
+    def counted(residual, x0):
+        solves.append(x0)
+        return newton_solve(residual, x0)
+
+    F = lorentz_generating(Boost(beta=(0.6, 0.2, 0.0)))
+    G = legendre_convert(F, "F3")
+    monkeypatch.setattr(numkit, "newton_solve", counted)
+    img = apply_generating(G, BOOST_PT)
+    assert len(solves) <= 12
+    assert [value_of(v) for v in (*img.q, *img.p, img.t, img.e)] \
+        == pytest.approx([float.fromhex(h) for h in BOOST_IMAGE], abs=1e-12)
+
+
+def test_converted_restriction_report_matches_source():
+    # the map Jacobian seeds the point, the converted apply seeds its rule
+    # and every converted value seeds its own solve: the deepest nesting the
+    # joint solve sees
+    F = lorentz_generating(Boost(beta=(0.6, 0.2, 0.0)))
+    rep = restriction_report(legendre_convert(F, "F3"), BOOST_PT)
+    ref = restriction_report(F, BOOST_PT)
+    assert (rep.time_global, rep.spacetime_split, rep.subspace_liouville,
+            rep.preserves_H1) == (ref.time_global, ref.spacetime_split,
+                                  ref.subspace_liouville, ref.preserves_H1)
+    assert abs(rep.liouville_det - 1.0) <= 1e-12
+    assert abs(abs(rep.hessian_det) - 1.0) <= 1e-12
