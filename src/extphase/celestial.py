@@ -93,9 +93,12 @@ def timescale_generating(spec: TimeScaleSpec, n=1) -> GeneratingFunction:
 def _with_energy(spec: KeplerSpec, base: Trajectory) -> Trajectory:
     """Extend (x, p) samples to columns (x, p, e), e recomputed pointwise."""
     xs, ps = base.states.T
-    states = np.column_stack([xs, ps, 0.5 * ps ** 2 - spec.K2 / xs])
     dx, dp = base.derivs.T
-    derivs = np.column_stack([dx, dp, ps * dp + spec.K2 / xs ** 2 * dx])
+    # as in the integrator, a column entry that overflows is an inf, not a
+    # warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        states = np.column_stack([xs, ps, 0.5 * ps ** 2 - spec.K2 / xs])
+        derivs = np.column_stack([dx, dp, ps * dp + spec.K2 / xs ** 2 * dx])
     return Trajectory(s=base.s, states=states, labels=("x", "p", "e"),
                       derivs=derivs)
 

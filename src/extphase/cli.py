@@ -231,13 +231,17 @@ def validate(obj):
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, chunks):
+    """Write the strings of the iterable chunks to path through a temporary
+    file in the same directory, which replaces path only once every chunk
+    is written; on any error the temporary file is removed and path is
+    left as it was."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -245,11 +249,13 @@ def _atomic_write(path, text):
         raise
 
 
-def _csv_text(header, rows):
-    lines = [",".join(header)]
+def _csv_lines(header, rows):
+    """The CSV text of a 2-D array of rows, one line at a time: the header,
+    then every value as ``%.17g`` (17 significant digits round-trip)."""
+    yield ",".join(header) + "\n"
+    fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     for row in rows:
-        lines.append(",".join(f"{float(v):.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+        yield fmt % tuple(row.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +567,7 @@ def run(config: ScenarioConfig) -> RunReport:
         error = f"{type(exc).__name__}: {exc}"
     for filename, header, rows in tables:
         path = os.path.join(config.output_dir, filename)
-        _atomic_write(path, _csv_text(header, rows))
+        _atomic_write(path, _csv_lines(header, rows))
         artifacts.append(filename)
     report = RunReport(scenario=config.scenario, passed=passed,
                        metrics=metrics, artifacts=artifacts)
@@ -570,7 +576,7 @@ def run(config: ScenarioConfig) -> RunReport:
         payload["error"] = error
     report_path = os.path.join(config.output_dir, "report.json")
     _atomic_write(report_path,
-                  json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                  [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     report.artifacts.append("report.json")
     return report
 

@@ -437,7 +437,8 @@ def trace(fn, m):
 def residual_kernels(res, k, m):
     """The (value, Jacobian) kernels of res(params, u), a residual of m
     unknowns u with k parameters, traced once over the flat (params.., u..);
-    None when either trace aborts.
+    None when either trace aborts, and the Jacobian is not traced once the
+    value's trace has aborted.
 
     Both are needed: the Jacobian kernel's values come from seeded duals,
     whose primal divides as ``a * (1.0 / b)``, so they need not match the
@@ -449,8 +450,12 @@ def residual_kernels(res, k, m):
     def jacobian(x):
         return jacobian_raw(lambda u: res(x[:k], u), x[k:])
 
-    kernels = trace(value, k + m), trace(jacobian, k + m)
-    return None if kernels[0] is value or kernels[1] is jacobian else kernels
+    value_kernel = trace(value, k + m)
+    if value_kernel is value:
+        return None
+    jacobian_kernel = trace(jacobian, k + m)
+    return None if jacobian_kernel is jacobian \
+        else (value_kernel, jacobian_kernel)
 
 
 def bind_residual(res, params, kernels):
@@ -708,7 +713,9 @@ MAX_STEPS = 10 ** 6
 def integrate(rhs, y0, s0, s1, opts=None, labels=None):
     """Adaptive Dormand-Prince 5(4) integration of y' = rhs(s, y) from s0 to s1.
 
-    rhs is called with s a float and y a float64 array.  Backward spans
+    rhs is called with s a float and y a float64 array, every call (the
+    first included) with numpy's overflow, invalid and divide warnings
+    off: a non-finite stage is a rejected step, not a warning.  Backward spans
     (s1 < s0) are allowed.  The final sample lands exactly on s1.  A step
     with a non-finite stage is rejected and shrunk at once, before any
     later stage runs.  ``opts.min_step`` is a floor on every step, accepted
@@ -748,14 +755,14 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
             # K[i].dot(zeros) is NaN exactly when K[i] holds an inf or a
             # NaN, since 0 * inf and 0 * nan are NaN
             zeros = np.zeros(m)
-            K[0] = rhs(s, y)
-            if not math.isfinite(K[0].dot(zeros)):
-                raise DomainEvaluationError(
-                    "right-hand side not finite at initial state")
-            ss, ys, fs = [s], [y], [K[0].copy()]
-            h = direction * min(opts.max_step, abs(s1 - s0))
-            attempts = 0
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                K[0] = rhs(s, y)
+                if not math.isfinite(K[0].dot(zeros)):
+                    raise DomainEvaluationError(
+                        "right-hand side not finite at initial state")
+                ss, ys, fs = [s], [y], [K[0].copy()]
+                h = direction * min(opts.max_step, abs(s1 - s0))
+                attempts = 0
                 while (s1 - s) * direction > 0:
                     if attempts == MAX_STEPS:
                         raise StepBudgetError(

@@ -135,14 +135,15 @@ def propagate(pt0, sys, par, s_span, opts=None):
     The trajectory state is (q.., p.., t, e); extended_value is constant
     along it, and on-shell starts stay on-shell to integration tolerance.
     The H-gradient is a kernel traced once from `grad_raw` (the Dual path
-    when H does not trace).
+    when H does not trace).  Each right-hand side reads its state once, so
+    k and the kernel see Python floats.
     """
     n = pt0.n
     s0, s1 = s_span
     grad = numkit.trace(_h_grad(sys, n), 2 * n + 1)
 
     def rhs(s, y):
-        pt = state_to_point(y, n, s=s)
+        pt = state_to_point(y.tolist(), n, s=s)
         return extended_rhs(pt, par.k(s, pt), sys, grad)
 
     return numkit.integrate(rhs, point_to_state(pt0), s0, s1, opts,

@@ -95,6 +95,14 @@ def _initial_energy(sys, q0, p0, t0):
     return sys.H(tuple(q0), tuple(p0), t0)
 
 
+def _xi_derivatives(c, xi, xid, xidd):
+    """[xid, xidd, xiddd] of the auxiliary equation at (xi, xid, xidd), from
+    the tuple c of `OscillatorSpec.coefficients` at the same time."""
+    w2, dw2, _, f, fd, fdd = c
+    return [xid, xidd, -xid * (4.0 * w2 - 2.0 * fd - f * f)
+            - xi * (2.0 * dw2 - fdd - f * fd)]
+
+
 def xi_oscillator_rhs(coefficients, xs: XiState) -> XiState:
     """Derivative triple of the linear third-order auxiliary equation,
     from the tuple of `OscillatorSpec.coefficients` at xs's time:
@@ -105,9 +113,7 @@ def xi_oscillator_rhs(coefficients, xs: XiState) -> XiState:
     for v in (w2, dw2, f, fd, fdd):
         if not math.isfinite(value_of(v)):
             raise DomainEvaluationError("oscillator coefficients not finite")
-    xddd = -xs.xidot * (4.0 * w2 - 2.0 * fd - f * f) \
-        - xs.xi * (2.0 * dw2 - fdd - f * fd)
-    return XiState(xi=xs.xidot, xidot=xs.xiddot, xiddot=xddd)
+    return XiState(*_xi_derivatives(coefficients, xs.xi, xs.xidot, xs.xiddot))
 
 
 def leach_invariant(coefficients, state, xs: XiState):
@@ -205,25 +211,38 @@ def oscillator_coupled_run(spec: OscillatorSpec, q0, p0, xi0: XiState,
     State layout: (q.., p.., e, xi, xid, xidd, tprime) with
     dtprime/dt = 1/xi.  This closes the auxiliary equation jointly with the
     canonical equations, which is the only way its coefficients are defined.
-    The H-gradient and the coefficients are kernels traced once from their
-    Dual code (that code itself when it does not trace).
+    Each right-hand side reads its state once as Python floats and makes one
+    call of a kernel traced once from the Dual code of the H-gradient, the
+    coefficients and the auxiliary equation (that code itself when it does
+    not trace), which returns the coefficients and every derivative but
+    dtprime/dt.
     """
     n = spec.n
     sys = spec.system()
     e0 = _initial_energy(sys, q0, p0, t_span[0])
-    grad = numkit.trace(_h_grad(sys, n), 2 * n + 1)
-    coefficients = numkit.trace(lambda x: spec.coefficients(x[0]), 1)
+    h_grad = _h_grad(sys, n)
+
+    def flow(x):
+        # x = (q.., p.., t, xi, xid, xidd)
+        _, g = h_grad(x[:2 * n + 1])
+        c = spec.coefficients(x[2 * n])
+        return c, g[n:2 * n] + [-gi for gi in g[:n]] + [g[2 * n]] \
+            + _xi_derivatives(c, *x[2 * n + 1:])
+
+    flow = numkit.trace(flow, 2 * n + 4)
 
     def rhs(t, y):
-        _, g = grad([*y[:2 * n], t])
-        xs = XiState(xi=y[2 * n + 1], xidot=y[2 * n + 2], xiddot=y[2 * n + 3])
-        dxs = xi_oscillator_rhs(coefficients((t,)), xs)
-        xi = y[2 * n + 1]
+        x = y.tolist()
+        xi = x[2 * n + 1]
+        x[2 * n] = t
+        c, dy = flow(x[:-1])
+        w2, dw2, _, f, fd, fdd = c
+        if not all(map(math.isfinite, (w2, dw2, f, fd, fdd))):
+            raise DomainEvaluationError("oscillator coefficients not finite")
         if xi <= 0:
             return [math.nan] * (2 * n + 5)
-        return g[n:2 * n] + [-gi for gi in g[:n]] + [
-            g[2 * n], value_of(dxs.xi), value_of(dxs.xidot),
-            value_of(dxs.xiddot), 1.0 / xi]
+        dy.append(1.0 / xi)
+        return dy
 
     labels = trajectory_labels(n)[:2 * n] + ("e", "xi", "xid", "xidd", "tprime")
     y0 = list(q0) + list(p0) + [e0, xi0.xi, xi0.xidot, xi0.xiddot, 0.0]
@@ -264,19 +283,22 @@ def transfer_matrix(spec: PotentialSpec, q0, p0, t_span, opts=None):
     trajectory's Xi columns: in each sample's matrix the columns are the
     three solutions and the rows their 0th/1st/2nd derivatives.  State
     layout: (q.., p.., e, Xi row-major).  At every time,
-    Xi^T (e, -q.p/2, q^2/4) equals the initial triple.  V's derivatives
-    are a kernel traced once from `PotentialSpec.derivatives` (that method
-    itself when V does not trace).
+    Xi^T (e, -q.p/2, q^2/4) equals the initial triple.  Each right-hand
+    side reads its state once as Python floats; V's derivatives are a
+    kernel traced once from `PotentialSpec.derivatives` (that method itself
+    when V does not trace).  The companion product stays a numpy matrix
+    product, whose rounding the trajectory keeps.
     """
     n = spec.n
     e0 = _initial_energy(spec.system(), q0, p0, t_span[0])
     derivatives = numkit.trace(lambda x: spec.derivatives(x[:n], x[n]), n + 1)
 
     def rhs(t, y):
-        q = y[:n].tolist()
-        V, grad = derivatives(q + [float(t)])
+        x = y.tolist()
+        q = x[:n]
+        V, grad = derivatives(q + [t])
         dXi = xi_general_rhs(q, V, grad) @ y[2 * n + 1:].reshape(3, 3)
-        return y[n:2 * n].tolist() + [-g for g in grad[:n]] + [grad[n]] \
+        return x[n:2 * n] + [-g for g in grad[:n]] + [grad[n]] \
             + dXi.ravel().tolist()
 
     labels = trajectory_labels(n)[:2 * n] + ("e",) \

@@ -4,13 +4,15 @@ import json
 import math
 import os
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from extphase import lagrangian, numkit, tdsystems
-from extphase.cli import (SCHEMAS, ScenarioConfig, _run_lagrangian_check,
-                          _run_oscillator, _run_potential, main, run, validate)
+from extphase.cli import (SCHEMAS, ScenarioConfig, _atomic_write, _csv_lines,
+                          _run_lagrangian_check, _run_oscillator,
+                          _run_potential, main, run, validate)
 
 
 def write_config(path, obj):
@@ -357,3 +359,55 @@ def test_lagrangian_check_fails_on_wrong_time_momentum(tmp_path, capsys,
     assert "lagrangian-check: FAIL" in capsys.readouterr().out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["metrics"]["legendre_agreement_max"] > 1e-7
+
+
+def test_kepler_direct_overflowing_start_passes_without_warnings(tmp_path,
+                                                                 capsys):
+    # at x0 = 1e160, x^2 overflows to inf in float64: the right-hand side
+    # and the energy column take the inf silently and the run passes
+    cfg = write_config(tmp_path / "far.json", {"scenario": "kepler-direct",
+                                               "params": {"x0": 1e160}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "3"]) == 0
+    assert "kepler-direct: PASS" in capsys.readouterr().out
+
+
+def _per_value_csv_text(header, rows):
+    """The CSV text as the CLI once built it, value by value."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{float(v):.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_streamed_csv_matches_per_value_text(tmp_path):
+    header = ("t", "a", "b", "c")
+    rows = np.array([
+        [-0.0, math.nan, math.inf, -math.inf],
+        [5e-324, 1e308, -1.7976931348623157e308, 2.2250738585072014e-308],
+        [0.1 + 0.2, 1.0 / 3.0, -2.718281828459045, 123456789012345678.0],
+        [0.0, 1.0, -1e-300, 9007199254740993.0]])
+    for table in (rows, rows[:0]):
+        path = tmp_path / "table.csv"
+        _atomic_write(str(path), _csv_lines(header, table))
+        assert path.read_bytes() \
+            == _per_value_csv_text(header, table).encode()
+
+
+def test_failed_streamed_write_leaves_no_file(tmp_path):
+    def lines():
+        yield "t,x\n"
+        yield "0,1\n"
+        raise RuntimeError("row failed")
+
+    with pytest.raises(RuntimeError, match="row failed"):
+        _atomic_write(str(tmp_path / "table.csv"), lines())
+    assert os.listdir(tmp_path) == []
+    # an existing target keeps its old text
+    (tmp_path / "table.csv").write_text("old\n")
+    with pytest.raises(RuntimeError, match="row failed"):
+        _atomic_write(str(tmp_path / "table.csv"), lines())
+    assert os.listdir(tmp_path) == ["table.csv"]
+    assert (tmp_path / "table.csv").read_text() == "old\n"

@@ -1,9 +1,12 @@
 """Time-dependent oscillator and general potential: invariants, transfer matrix."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extphase.errors import (CoefficientSingularityError,
                              DomainEvaluationError, UnphysicalMapError)
@@ -323,3 +326,106 @@ def test_transfer_matrix_traced_run_matches_dual_path():
     assert numkit.trace(untraced, 3) is untraced
     args = ((1.0, -0.4), (0.5, 0.3), (0.0, 3.0))
     _same_run(transfer_matrix(spec, *args)[0], transfer_matrix(dual, *args)[0])
+
+
+# ---------------------------------------------------------------------------
+# the coupled right-hand side: one traced kernel on Python floats, against
+# the Dual path it is traced from
+# ---------------------------------------------------------------------------
+
+
+def _coupled_rhs(spec):
+    """The right-hand side that `oscillator_coupled_run` integrates."""
+    from extphase import numkit
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numkit, "integrate",
+                   lambda rhs, *args, **kwargs: captured.append(rhs))
+        oscillator_coupled_run(spec, [0.5] * spec.n, [0.5] * spec.n,
+                               XiState(xi=1.0, xidot=0.0, xiddot=0.0),
+                               (0.0, 1.0))
+    return captured[0]
+
+
+def _reference_coupled_rhs(spec, t, y):
+    """The coupled right-hand side from the Dual path: `grad_raw` of H,
+    `spec.coefficients` and `xi_oscillator_rhs`."""
+    from extphase import numkit
+    n = spec.n
+    H = spec.system().H
+    _, g = numkit.grad_raw(lambda v: H(v[:n], v[n:2 * n], v[2 * n]),
+                           [*y[:2 * n], t])
+    dxs = xi_oscillator_rhs(spec.coefficients(t),
+                            XiState(*y[2 * n + 1:2 * n + 4]))
+    xi = y[2 * n + 1]
+    if xi <= 0:
+        return [math.nan] * (2 * n + 5)
+    return g[n:2 * n] + [-gi for gi in g[:n]] + [
+        g[2 * n], value_of(dxs.xi), value_of(dxs.xidot), value_of(dxs.xiddot),
+        1.0 / xi]
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+_coordinate = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@given(st.integers(1, 3), st.floats(-0.9, 0.9), st.floats(-1.0, 1.0),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_coupled_rhs_matches_dual_path(n, eps, f, data):
+    spec = modulated(n=n, eps=eps, f=f)
+    rhs = _coupled_rhs(spec)
+    # q.., p.., e, xi, xid, xidd, tprime; xi may be <= 0
+    y = data.draw(st.lists(_coordinate, min_size=2 * n + 5,
+                           max_size=2 * n + 5))
+    t = data.draw(_coordinate)
+    assert _hexes(rhs(t, np.array(y))) \
+        == _hexes(_reference_coupled_rhs(spec, t, y))
+
+
+def test_coupled_rhs_nan_at_nonpositive_xi_and_typed_coefficient_error():
+    rhs = _coupled_rhs(modulated(n=2))
+    for xi in (0.0, -0.0, -1e-300, -2.5):
+        y = np.array([0.3, -0.2, 0.1, 0.4, 0.7, xi, 0.2, -0.1, 0.0])
+        out = rhs(0.5, y)
+        assert len(out) == 9 and all(math.isnan(v) for v in out)
+    # one coefficient made infinite at a time: F is not checked, since only
+    # its derivatives enter the auxiliary equation
+    y = np.array([0.3, 0.1, 0.4, 1.0, 0.2, -0.1, 0.0])
+    for k in range(6):
+        class Pinned(OscillatorSpec):
+            def coefficients(self, t, k=k):
+                c = list(OscillatorSpec.coefficients(self, t))
+                c[k] = c[k] + math.inf
+                return tuple(c)
+
+        bad = _coupled_rhs(Pinned(n=1, omega2=lambda t: 1.0 + 0.1 * t,
+                                  F=lambda t: 0.1 * t))
+        if k == 2:
+            assert all(math.isfinite(v) for v in bad(0.5, y))
+            continue
+        with pytest.raises(DomainEvaluationError, match="coefficients"):
+            bad(0.5, y)
+
+
+def test_cli_oscillator_spec_traces(monkeypatch):
+    from extphase import numkit
+    from extphase.cli import _run_oscillator, validate
+    traced = []
+    trace = numkit.trace
+
+    def recorded(fn, m):
+        kernel = trace(fn, m)
+        traced.append((m, kernel is not fn))
+        return kernel
+
+    monkeypatch.setattr(numkit, "trace", recorded)
+    cfg, errors = validate({"scenario": "oscillator",
+                            "params": {"t_end": 0.5}})
+    assert not errors
+    _run_oscillator(cfg.params, random.Random(0), cfg.tolerances)
+    n = cfg.params["n"]
+    assert traced == [(2 * n + 4, True)]

@@ -573,6 +573,27 @@ def test_converted_apply_solves_once_per_value(monkeypatch):
         == pytest.approx([float.fromhex(h) for h in BOOST_IMAGE], abs=1e-12)
 
 
+def test_aborted_rule_trace_skips_the_jacobian_trace(monkeypatch):
+    # a converted F does not trace: its value's trace aborts inside a
+    # converted value's Newton solve over leaves, and the rule's Jacobian is
+    # then not traced, which would start one more; a repeat apply reads the
+    # cached None and makes only the image's solves
+    solves = []
+    newton_solve = numkit.newton_solve
+
+    def counted(residual, x0):
+        solves.append(x0)
+        return newton_solve(residual, x0)
+
+    G = legendre_convert(lorentz_generating(Boost(beta=(0.6, 0.2, 0.0))), "F3")
+    monkeypatch.setattr(numkit, "newton_solve", counted)
+    apply_generating(G, BOOST_PT)
+    assert len(solves) == 9
+    solves.clear()
+    apply_generating(G, BOOST_PT)
+    assert len(solves) == 8
+
+
 def test_converted_restriction_report_matches_source():
     # the map Jacobian seeds the point, the converted apply seeds its rule
     # and every converted value seeds its own solve: the deepest nesting the
