@@ -133,12 +133,15 @@ def kepler_regularized(spec: KeplerSpec, tprime_span, opts=None) -> Trajectory:
 
     The physical time is co-integrated as dt/dt' = x.  Columns are
     (x, dxdt, t, e); the collision x = 0 is an ordinary point.  The initial
-    x-slope is dx/dt'|0 = x0 p0 (from dx/dt' = xi p with xi = x).
+    x-slope is dx/dt'|0 = x0 p0 (from dx/dt' = xi p with xi = x).  The
+    right-hand side reads its state once as Python floats.
     """
     e0 = spec.energy
 
     def rhs(tp, y):
-        x, v, t = y
+        # Python floats: * and + overflow to inf as float64 does, and never
+        # raise (unlike kepler_direct's x ** 2)
+        x, v, t = y.tolist()
         return [v, 2.0 * e0 * x + spec.K2, x]
 
     v0 = spec.x0 * spec.p0

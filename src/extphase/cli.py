@@ -466,8 +466,10 @@ def _run_potential(params, rng, opts):
     traj, Xi = tdsystems.transfer_matrix(spec, q0, p0,
                                          (0.0, params["t_end"]), opts)
     triple0 = tdsystems.invariant_triple(q0, p0, traj.states[0, 2 * n])
+    # each row as Python floats, one at a time: states.tolist() would hold
+    # every row as floats at once, about 1 MB in the default run
     triples = np.array([tdsystems.invariant_triple(y[:n], y[n:2 * n], y[2 * n])
-                        for y in traj.states])
+                        for y in map(np.ndarray.tolist, traj.states)])
     dets = np.linalg.det(Xi)
     backs = (triples[:, None, :] @ Xi)[:, 0]  # row k: Xi_k^T triple_k
     det_err = float(np.max(np.abs(dets - 1.0)))

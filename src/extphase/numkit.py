@@ -727,6 +727,15 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
     ``ZeroDivisionError`` from rhs, raises :class:`DomainEvaluationError`.
     An empty y0, a non-finite s0 or s1, or s1 == s0 raises ValueError
     before rhs is called.
+
+    The method is the Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner,
+    *Solving ODEs I*, II.5) in one loop.  Each stage sum is one product of
+    its tableau row with the stages before it: ``ndarray.dot`` for rows of
+    length 2 and more and for the error row, ``@`` for the length-1 row of
+    stage 2 (where ``dot`` would give -0.0 for a sum that ``@`` gives as
+    0.0).  The error norm is formed in place and reuses |y| from the step
+    before; the bits are those of ``y + h * (row @ K)`` and
+    ``h * (_E @ K) / (abs_tol + rel_tol * max(|y|, |y5|))``.
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -749,9 +758,13 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
             direction = 1.0 if s1 > s0 else -1.0
             s = s0
             K = np.empty((7, m))
-            # stage i: its time fraction, its tableau row, and as views of K
-            # the stages it reads and the row it fills
-            stages = [(_C[i], _ROWS[i], K[:i], K[i]) for i in range(1, 7)]
+            # stage i: its time fraction, its tableau row's product with the
+            # stages it reads (views of K), the row of K it fills, and that
+            # row's dot for the finiteness check; dot is the cheaper call
+            # with the bits of @ for rows of length >= 2, not for length 1
+            stages = [(_C[i], (_ROWS[i].dot if i >= 2 else
+                               _ROWS[i].__matmul__), K[:i], K[i], K[i].dot)
+                      for i in range(1, 7)]
             # K[i].dot(zeros) is NaN exactly when K[i] holds an inf or a
             # NaN, since 0 * inf and 0 * nan are NaN
             zeros = np.zeros(m)
@@ -762,6 +775,8 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
                         "right-hand side not finite at initial state")
                 ss, ys, fs = [s], [y], [K[0].copy()]
                 h = direction * min(opts.max_step, abs(s1 - s0))
+                # |y|, for the error scale; an accepted step hands on |y5|
+                ay = np.abs(y)
                 attempts = 0
                 while (s1 - s) * direction > 0:
                     if attempts == MAX_STEPS:
@@ -770,26 +785,36 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
                             f"exhausted at s={s} short of {s1}")
                     attempts += 1
                     h = direction * min(abs(h), abs(s1 - s))
+                    # h as a numpy scalar for the in-place array scalings;
+                    # the stage time stays a float
+                    hn = np.float64(h)
                     err = math.inf
-                    for c, row, Kprev, Ki in stages:
+                    for c, product, Kprev, Ki, Ki_dot in stages:
                         # y + h * (row @ Kprev), formed in place in the new
                         # array that the product returns
-                        yi = row @ Kprev
-                        yi *= h
+                        yi = product(Kprev)
+                        yi *= hn
                         yi += y
                         Ki[...] = rhs(s + c * h, yi)
                         # no later stage may be evaluated at a non-finite state
-                        if not math.isfinite(Ki.dot(zeros)):
+                        if not math.isfinite(Ki_dot(zeros)):
                             break
                     else:
-                        scale = opts.abs_tol \
-                            + opts.rel_tol * np.maximum(np.abs(y), np.abs(yi))
-                        q = h * (_E @ K) / scale
+                        # abs_tol + rel_tol * max(|y|, |y5|) and
+                        # h * (_E @ K) / scale, in place
+                        ayi = np.abs(yi)
+                        scale = np.maximum(ay, ayi)
+                        scale *= opts.rel_tol
+                        scale += opts.abs_tol
+                        q = _E.dot(K)
+                        q *= hn
+                        q /= scale
                         err = math.sqrt(np.add.reduce(q * q) / m)
                     if err <= 1.0:
                         s = s1 if abs(s1 - (s + h)) < 1e-14 * max(1.0, abs(s1)) \
                             else s + h
                         y = yi  # the input of the last stage is y5
+                        ay = ayi
                         K[0] = K[6]  # FSAL
                         ss.append(s)
                         ys.append(y)

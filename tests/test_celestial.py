@@ -2,9 +2,12 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extphase.celestial import (KeplerSpec, KsPoint, TimeScaleSpec,
                                 kepler_direct, kepler_regularized,
@@ -13,7 +16,7 @@ from extphase.celestial import (KeplerSpec, KsPoint, TimeScaleSpec,
                                 timescale_generating)
 from extphase.errors import (CollisionChartError, DomainEvaluationError,
                              IntegrationStallError)
-from extphase.numkit import IntegratorOptions, value_of
+from extphase.numkit import IntegratorOptions, integrate, value_of
 from extphase.phase import (ExtendedPoint, extended_rhs, lift,
                             symplectic_residual)
 from extphase.transform import apply_generating, restriction_report
@@ -97,6 +100,79 @@ def test_regularized_energy_identity():
     x, v = tr.column("x"), tr.column("dxdt")
     res = v ** 2 - (2.0 * ORBIT.energy * x ** 2 + 2.0 * ORBIT.K2 * x)
     assert np.max(np.abs(res)) < 1e-8
+
+
+@st.composite
+def _kepler_runs(draw):
+    """A valid KeplerSpec, a t' horizon of a few time scales of x'' = 2 e x
+    + K^2, and integrator options.  Half the specs put 2 e0 x0 near the float64
+    limit, so that 2 e0 x overflows at the start or within the run."""
+    K2 = 10.0 ** draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        # 0.5 p0^2 x0 = 10^u / 2, so 2 e0 x0 is about 10^u; a large x0
+        # keeps the time scale 1/p0 of the run well above 1e-14
+        lg_x0 = draw(st.floats(290.0, 305.0))
+        p0 = 10.0 ** ((draw(st.floats(305.0, 309.0)) - lg_x0) / 2)
+    else:
+        lg_x0 = draw(st.floats(-3.0, 300.0))
+        p0 = draw(st.floats(-3.0, 3.0))
+    spec = KeplerSpec(K2=K2, x0=10.0 ** lg_x0, p0=p0)
+    rate = max(1.0, math.sqrt(2.0 * abs(spec.energy)))
+    tprime_end = draw(st.floats(0.01, 3.0)) / rate
+    tol = draw(st.sampled_from([1e-12, 1e-8]))
+    # a step floor on the horizon's scale, which is below the default floor
+    # when 2 e0 x0 is near the limit
+    return spec, tprime_end, IntegratorOptions(rel_tol=tol, abs_tol=tol,
+                                               min_step=1e-13 * tprime_end)
+
+
+def _outcome(run):
+    """(error type and message or None, trajectory) of one integration."""
+    try:
+        return None, run()
+    except IntegrationStallError as exc:
+        return (type(exc), str(exc)), exc.trajectory
+    except DomainEvaluationError as exc:
+        return (type(exc), str(exc)), None
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(_kepler_runs())
+@example((KeplerSpec(K2=1.0, x0=1e300, p0=1e4), 2e-4,
+          IntegratorOptions(min_step=1e-17)))
+@settings(max_examples=40, deadline=None)
+def test_regularized_float_rhs_matches_numpy_scalar_rhs(run):
+    # the regularized right-hand side reads its state as Python floats; its
+    # * and + must give the trajectory of the same expressions on numpy
+    # scalars bit for bit, inf where they overflow, and never warn or raise
+    spec, tprime_end, opts = run
+    e0 = spec.energy
+
+    def numpy_rhs(tp, y):
+        x, v, t = y
+        return [v, 2.0 * e0 * x + spec.K2, x]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_error, got = _outcome(
+            lambda: kepler_regularized(spec, (0.0, tprime_end), opts))
+        want_error, want = _outcome(
+            lambda: integrate(numpy_rhs, [spec.x0, spec.x0 * spec.p0, 0.0],
+                              0.0, tprime_end, opts,
+                              labels=("x", "dxdt", "t")))
+    assert got_error == want_error
+    if want is None:
+        assert got is None
+        return
+    assert _same_bits(got.s, want.s)
+    # a finished run carries the constant e column, a stalled one does not
+    assert _same_bits(got.states[:, :3], want.states)
+    assert _same_bits(got.derivs[:, :3], want.derivs)
+    if got_error is None:
+        assert np.all(got.states[:, 3] == e0) and np.all(got.derivs[:, 3] == 0)
 
 
 def test_transformed_rhs_keeps_xi_a_pure_time_function():

@@ -794,21 +794,20 @@ def _systems(draw):
     return _system_rhs(kind, A.reshape(m, m), b, wall), y0, s0, s1, opts
 
 
-@given(_systems())
-@settings(max_examples=60, deadline=None)
-def test_integrate_matches_reference_loop(system):
-    rhs, y0, s0, s1, opts = system
+def _check_against_reference(rhs, y0, s0, s1, opts):
+    """integrate and the reference loop call rhs at the same stage times with
+    the same state bits, and give the same samples"""
     want_calls, got_calls = [], []
 
     def want_rhs(s, y):
-        want_calls.append(s)
+        want_calls.append((s, y.tobytes()))
         return rhs(s, y)
 
     def got_rhs(s, y):
         # the RHS contract: a float stage time and a float64 state array
         assert type(s) is float
         assert type(y) is np.ndarray and y.dtype == np.float64
-        got_calls.append(s)
+        got_calls.append((s, y.tobytes()))
         return rhs(s, y)
 
     want_s, want_states, want_derivs, stalled = _reference_integrate(
@@ -821,8 +820,49 @@ def test_integrate_matches_reference_loop(system):
         assert np.array_equal(exc.value.state_last, want_states[-1])
     else:
         traj = integrate(got_rhs, y0, s0, s1, opts)
-    # the same stage times in the same order, and the same samples
-    assert got_calls == [float(s) for s in want_calls]
+    # the same stage times and stage inputs in the same order, and the same
+    # samples
+    assert got_calls == [(float(s), y) for s, y in want_calls]
     assert np.array_equal(traj.s, want_s)
     assert np.array_equal(traj.states, want_states)
     assert np.array_equal(traj.derivs, want_derivs)
+
+
+@given(_systems())
+@settings(max_examples=60, deadline=None)
+def test_integrate_matches_reference_loop(system):
+    _check_against_reference(*system)
+
+
+def test_integrate_matches_reference_loop_on_negative_zeros():
+    # stage 2's sum over one stage is 0.0 under @ but -0.0 under dot, and
+    # only the stage inputs show it: every sample is -0.0 either way
+    _check_against_reference(lambda s, y: [-0.0], [-0.0], 0.0, 0.3,
+                             IntegratorOptions())
+
+
+# signed zeros and infinities, NaNs with a payload and with the sign bit,
+# subnormals, and values whose products overflow
+_SPECIAL_VALUES = np.concatenate([
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.5e-308,
+     -2.5e-308, 1e308, -1e308, 1.0, -0.75],
+    np.array([0x7FF8000000000123, 0xFFF8000000000000],
+             dtype=np.uint64).view(np.float64)])
+
+
+@pytest.mark.parametrize("width", list(range(1, 65)) + [100, 205])
+def test_stage_row_dot_matches_matmul_bits(width):
+    # integrate forms the stage sums of rows of length >= 2 and the error
+    # estimate with ndarray.dot in place of @; the two must agree bit for
+    # bit, NaN payloads and signed zeros included, on this numpy and BLAS
+    rng = np.random.default_rng(width)
+    rows = [numkit._ROWS[i] for i in range(2, 7)] + [numkit._E]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(20):
+            K = rng.standard_normal((7, width)) \
+                * 10.0 ** rng.integers(-300, 300, (7, width))
+            special = rng.random((7, width)) < 0.5
+            K[special] = rng.choice(_SPECIAL_VALUES, special.sum())
+            for row in rows:
+                Kprev = K[:len(row)]
+                assert row.dot(Kprev).tobytes() == (row @ Kprev).tobytes()
