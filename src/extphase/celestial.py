@@ -44,8 +44,12 @@ class KeplerSpec:
             raise ValueError("K2 must be positive")
         if self.x0 <= 0:
             raise ValueError("x0 must be positive")
-        if not math.isfinite(self.energy):
-            raise ValueError("initial energy not finite")
+        try:
+            finite = math.isfinite(self.energy)
+        except OverflowError:  # p0 ** 2 of a float beyond about 1.3e154
+            finite = False
+        if not finite:
+            raise DomainEvaluationError("initial energy not finite")
 
     @property
     def energy(self):

@@ -104,9 +104,9 @@ def paired_hamiltonian(sys: LagrangianSystem) -> HamiltonianSystem:
     """Numerical Legendre transform of L: H(q, p, t) = p.qdot - L at
     the qdot solving p = dL/dqdot (damped Newton, seeded by p).
 
-    At a float (q, p, t) the solve runs on kernels traced from its residual
-    on the first such call and kept as long as H (the Dual path if L does
-    not trace).
+    The residual's `numkit.residual_binder` belongs to H: at a float
+    (q, p, t) the solve runs on kernels traced on the first such call and
+    kept as long as H (the Dual path if L does not trace).
     """
     n = sys.n
 
@@ -116,17 +116,12 @@ def paired_hamiltonian(sys: LagrangianSystem) -> HamiltonianSystem:
         _, g = numkit.grad_raw(lambda u: sys.L(q, tuple(u), t), list(v))
         return [gi - pi for gi, pi in zip(g, x[n:2 * n])]
 
-    traced = []
-
-    def kernels():
-        if not traced:
-            traced.append(numkit.residual_kernels(residual, 2 * n + 1, n))
-        return traced[0]
+    bind = numkit.residual_binder(residual, 2 * n + 1, n)
 
     def H(q, p, t):
-        qdot = numkit.newton_solve(
-            numkit.bind_residual(residual, [*q, *p, t], kernels),
-            [value_of(pi) for pi in p])
+        mismatch, jacobian = bind([*q, *p, t])
+        qdot = numkit.newton_solve(mismatch, [value_of(pi) for pi in p],
+                                   jacobian)
         return sum(a * b for a, b in zip(p, qdot)) - sys.L(q, tuple(qdot), t)
 
     return HamiltonianSystem(n=n, H=H, description="Legendre pair")

@@ -434,15 +434,20 @@ def trace(fn, m):
     return names["kernel"]
 
 
-def residual_kernels(res, k, m):
-    """The (value, Jacobian) kernels of res(params, u), a residual of m
-    unknowns u with k parameters, traced once over the flat (params.., u..);
-    None when either trace aborts, and the Jacobian is not traced once the
-    value's trace has aborted.
+def residual_binder(res, k, m):
+    """bind(params) -> (residual, jacobian) for `newton_solve`: u ->
+    res(params, u) and u -> jacobian_raw of it at u, for a residual res of
+    m unknowns u with k parameters.
 
-    Both are needed: the Jacobian kernel's values come from seeded duals,
-    whose primal divides as ``a * (1.0 / b)``, so they need not match the
-    plain residual's bits.  res must be a pure function of its arguments.
+    At all-float params both run on kernels traced over the flat
+    (params.., u..) on the first such call and kept in the binder, so they
+    live as long as it does; the unknowns must then be floats too.  Both
+    are needed: the Jacobian kernel's values come from seeded duals, whose
+    primal divides as ``a * (1.0 / b)``, so they need not match the plain
+    residual's bits.  A trace that aborts leaves the Dual code in its place,
+    as `trace` does, and the Jacobian is not traced once the value's trace
+    has aborted.  Dual params keep the Dual code.  res must be a pure
+    function of its arguments.
     """
     def value(x):
         return res(x[:k], x[k:])
@@ -450,41 +455,19 @@ def residual_kernels(res, k, m):
     def jacobian(x):
         return jacobian_raw(lambda u: res(x[:k], u), x[k:])
 
-    value_kernel = trace(value, k + m)
-    if value_kernel is value:
-        return None
-    jacobian_kernel = trace(jacobian, k + m)
-    return None if jacobian_kernel is jacobian \
-        else (value_kernel, jacobian_kernel)
+    kernels = []
 
+    def bind(params):
+        f, J = value, jacobian
+        if all(isinstance(v, _SCALARS) for v in params):
+            if not kernels:
+                kernels.append(trace(value, k + m))
+                kernels.append(jacobian if kernels[0] is value
+                               else trace(jacobian, k + m))
+            f, J = kernels
+        return lambda u: f([*params, *u]), lambda u: J([*params, *u])
 
-def bind_residual(res, params, kernels):
-    """u -> res(params, u), a residual for `newton_solve`.
-
-    When every parameter is a float, kernels() is asked for the
-    `residual_kernels` of res; if it gives them, the value kernel takes the
-    place of res and the Jacobian kernel rides on it as the ``jacobian``
-    hook that `residual_jacobian` reads, and the unknowns must be floats
-    too.  Dual parameters, or kernels() giving None, keep the Dual path.
-    """
-    traced = kernels() if all(isinstance(v, _SCALARS) for v in params) \
-        else None
-    if traced is None:
-        return lambda u: res(params, u)
-    value, jacobian = traced
-
-    def residual(u):
-        return value([*params, *u])
-
-    residual.jacobian = lambda u: jacobian([*params, *u])
-    return residual
-
-
-def residual_jacobian(residual, x):
-    """``jacobian_raw(residual, x)``, or the residual's ``jacobian`` hook
-    at x when it has one."""
-    hook = getattr(residual, "jacobian", None)
-    return jacobian_raw(residual, x) if hook is None else hook(x)
+    return bind
 
 
 def solve_linear(A, b):
@@ -521,25 +504,28 @@ _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-12
 
 
-def newton_solve(residual, x0):
+def newton_solve(residual, x0, jacobian=None):
     """Damped Newton on a small square system, generic over dual unknowns.
 
     After the primal residual converges, two polishing steps are taken so
     that any dual parts riding along converge to the exact implicit-function
-    derivatives as well.  Each (r, J) comes from `residual_jacobian`, so a
-    residual from `bind_residual` runs on its traced kernels.
+    derivatives as well.  Each (r, J) comes from jacobian(x), by default
+    ``jacobian_raw(residual, x)``; a `residual_binder` pair passes its own.
     """
+    if jacobian is None:
+        def jacobian(x):
+            return jacobian_raw(residual, x)
 
     def norm(r):
         return max((abs(value_of(ri)) for ri in r), default=0.0)
 
     x = list(x0)
     for _ in range(_NEWTON_MAX_ITER):
-        r, J = residual_jacobian(residual, x)
+        r, J = jacobian(x)
         rn = norm(r)
         if rn < _NEWTON_TOL:
             for _ in range(2):
-                r, J = residual_jacobian(residual, x)
+                r, J = jacobian(x)
                 dx = solve_linear(J, [-ri for ri in r])
                 x = [xi + di for xi, di in zip(x, dx)]
             return x
@@ -653,13 +639,6 @@ class Trajectory:
         dh11 = u * (3 * u - 2)
         return dh00 * y0 + dh10 * f0 + dh01 * y1 + dh11 * f1
 
-    def to_csv(self, stream):
-        """Write header (s first) then one sample per line, 17 significant digits."""
-        stream.write(",".join(("s",) + tuple(self.labels)) + "\n")
-        for si, row in zip(self.s, self.states):
-            vals = [si] + list(row)
-            stream.write(",".join(f"{v:.17g}" for v in vals) + "\n")
-
 
 # ---------------------------------------------------------------------------
 # adaptive embedded Runge-Kutta 5(4)
@@ -716,8 +695,9 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
     rhs is called with s a float and y a float64 array, every call (the
     first included) with numpy's overflow, invalid and divide warnings
     off: a non-finite stage is a rejected step, not a warning.  Backward spans
-    (s1 < s0) are allowed.  The final sample lands exactly on s1.  A step
-    with a non-finite stage is rejected and shrunk at once, before any
+    (s1 < s0) are allowed.  The final sample lands exactly on s1: an
+    accepted step that ends within 1e-14 |s1 - s0| of s1 is stamped s1.  A
+    step with a non-finite stage is rejected and shrunk at once, before any
     later stage runs.  ``opts.min_step`` is a floor on every step, accepted
     or rejected: once the next step is shorter than it, or too short to
     move s at all, the integration raises :class:`IntegrationStallError`
@@ -811,7 +791,7 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
                         q /= scale
                         err = math.sqrt(np.add.reduce(q * q) / m)
                     if err <= 1.0:
-                        s = s1 if abs(s1 - (s + h)) < 1e-14 * max(1.0, abs(s1)) \
+                        s = s1 if abs(s1 - (s + h)) < 1e-14 * abs(s1 - s0) \
                             else s + h
                         y = yi  # the input of the last stage is y5
                         ay = ayi

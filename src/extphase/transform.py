@@ -21,9 +21,8 @@ arguments: a float solve runs on kernels traced once per F.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -57,6 +56,14 @@ class GeneratingFunction:
     def __call__(self, x, y, a, b, s=0.0):
         return self.value(x, y, a, b, s)
 
+    @cached_property
+    def _bind_rule(self):
+        """The `numkit.residual_binder` of F's rule residual: its traced
+        kernels live as long as F."""
+        m = self.n + 1
+        return numkit.residual_binder(partial(_rule_residual, self),
+                                      2 * m + 1, m)
+
 
 @dataclass(frozen=True)
 class TransformReport:
@@ -74,15 +81,6 @@ class TransformReport:
     spacetime_split: bool
     subspace_liouville: bool
     liouville_det: float = 1.0
-
-    def to_json(self):
-        return json.dumps({
-            "hessian_det": self.hessian_det,
-            "preserves_H1": self.preserves_H1,
-            "time_global": self.time_global,
-            "spacetime_split": self.spacetime_split,
-            "subspace_liouville": self.subspace_liouville,
-        }, sort_keys=True)
 
 
 def _pair(pt, name):
@@ -137,22 +135,6 @@ def _rule_residual(F, x, u):
     return [g - w for g, w in zip(dU, x[m:2 * m])]
 
 
-@lru_cache(maxsize=8)
-def _cached_rule_kernels(F):
-    m = F.n + 1
-    return numkit.residual_kernels(partial(_rule_residual, F), 2 * m + 1, m)
-
-
-def _rule_kernels(F):
-    """The traced kernels of F's rule residual (None if F.value does not
-    trace), kept for the last few Fs; an F whose value cannot be hashed
-    keeps the Dual path."""
-    try:
-        return _cached_rule_kernels(F)
-    except TypeError:
-        return None
-
-
 def _rule_params(F, pt):
     """`_rule_residual`'s x at pt: the unprimed pair of F's kind, the
     momenta conjugate to it and s."""
@@ -162,32 +144,31 @@ def _rule_params(F, pt):
 
 
 def _rule(F, pt):
-    """The rule set of F's kind at pt, as (residual, start).
+    """The rule set of F's kind at pt, as (residual, jacobian, start).
 
-    residual(u) is `_rule_residual` at the image's primed pair u; at a
-    float point it runs on F's traced kernels.  Damped Newton starts from
-    the point's own primed pair.
+    residual(u) is `_rule_residual` at the image's primed pair u and
+    jacobian(u) is its (value, Jacobian); at a float point both run on the
+    kernels F's binder keeps.  Damped Newton starts from the point's own
+    primed pair.
     """
     if pt.n != F.n:
         raise ValueError(f"dimension mismatch: point has n={pt.n}, F has n={F.n}")
-    residual = numkit.bind_residual(partial(_rule_residual, F),
-                                    _rule_params(F, pt),
-                                    lambda: _rule_kernels(F))
-    return residual, _pair(pt, _LAYOUT[F.kind][1])
+    residual, jacobian = F._bind_rule(_rule_params(F, pt))
+    return residual, jacobian, _pair(pt, _LAYOUT[F.kind][1])
 
 
-def _det(residual, u):
+def _det(jacobian, u):
     """Determinant of the mixed Hessian d^2 F / d(x,a) d(y,b) at u: the
     Jacobian of the rule residual (its transpose for F3, whose unprimed pair
     fills (y, b))."""
-    _, rows = numkit.residual_jacobian(residual, u)
+    _, rows = jacobian(u)
     return float(np.linalg.det(np.array([[value_of(r) for r in row]
                                          for row in rows])))
 
 
-def _solved_det(residual, u):
+def _solved_det(jacobian, u):
     """`_det` at the root u of the residual, which must not vanish there."""
-    det = _det(residual, u)
+    det = _det(jacobian, u)
     if abs(det) < 1e-12:
         raise DegeneracyError(
             f"generating function degenerate at solution (|hessian| = {abs(det):.3e})")
@@ -207,14 +188,14 @@ def _apply(F, pt):
 
     The unknowns are the image's primed pair, the root of the rule
     residual; the momenta conjugate to it are then -dF/d(primed).
-    Returns (image point, resolved argument blocks (x, y, a, b), residual,
-    root).
+    Returns (image point, resolved argument blocks (x, y, a, b), the
+    residual's jacobian, root).
     """
     unprimed, _, first = _LAYOUT[F.kind]
-    residual, start = _rule(F, pt)
-    u = numkit.newton_solve(residual, start)
+    residual, jacobian, start = _rule(F, pt)
+    u = numkit.newton_solve(residual, start, jacobian)
     known = _pair(pt, unprimed)
-    return _image(F, known, u, pt.s), _blocks(first, known, u), residual, u
+    return _image(F, known, u, pt.s), _blocks(first, known, u), jacobian, u
 
 
 def apply_generating(F, pt):
@@ -224,8 +205,8 @@ def apply_generating(F, pt):
     or (q, t) block; the branch continuous from it is returned when multiple
     solutions exist.
     """
-    image, _, residual, u = _apply(F, pt)
-    _solved_det(residual, u)
+    image, _, jacobian, u = _apply(F, pt)
+    _solved_det(jacobian, u)
     return image
 
 
@@ -235,7 +216,8 @@ def hessian_det(F, pt):
     The unresolved argument block is probed at the point's own (p, e) or
     (q, t) values; nonzero certifies local invertibility of the induced map.
     """
-    return _det(*_rule(F, pt))
+    _, jacobian, u = _rule(F, pt)
+    return _det(jacobian, u)
 
 
 # algebraic offset of each kind's value relative to the F1 form: a primed
@@ -339,8 +321,8 @@ def restriction_report(F, pt, tol=1e-10):
     the map's Jacobian comes from the solve with pt seeded.
     """
     n = pt.n
-    _, args, residual, u = _apply(F, pt)
-    hdet = _solved_det(residual, u)
+    _, args, jacobian, u = _apply(F, pt)
+    hdet = _solved_det(jacobian, u)
     _, (dFds,) = numkit.grad_raw(lambda v: F.value(*args, v[0]), [pt.s])
     preserves = abs(value_of(dFds)) <= tol
     M = map_jacobian(lambda z: _apply(F, z)[0], pt)

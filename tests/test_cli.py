@@ -327,9 +327,9 @@ def test_lagrangian_check_evaluates_paired_h_once_per_probe(monkeypatch):
     solves = []
     newton_solve = numkit.newton_solve
 
-    def counted(residual, x0):
+    def counted(residual, x0, *jacobian):
         solves.append(x0)
-        return newton_solve(residual, x0)
+        return newton_solve(residual, x0, *jacobian)
 
     monkeypatch.setattr(numkit, "newton_solve", counted)
     cfg, errors = validate({"scenario": "lagrangian-check",
@@ -372,6 +372,24 @@ def test_kepler_direct_overflowing_start_passes_without_warnings(tmp_path,
         assert main(["run", cfg, "--out", str(tmp_path / "out"),
                      "--seed", "3"]) == 0
     assert "kepler-direct: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scenario, params", [
+    ("kepler-regularized", {"p0": 1e200}),  # p0 ** 2 overflows
+    ("kepler-direct", {"x0": 1e-320}),  # K2 / x0 is inf
+    ("kepler-regularized", {"K2": 1e300, "x0": 1e-10}),
+])
+def test_nonfinite_initial_energy_is_a_typed_failure(tmp_path, capsys,
+                                                     scenario, params):
+    cfg = write_config(tmp_path / "start.json",
+                       {"scenario": scenario, "params": params})
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"] \
+        == "DomainEvaluationError: initial energy not finite"
+    assert report["metrics"] == {"runner_failed": 1.0}
 
 
 def _per_value_csv_text(header, rows):

@@ -1,6 +1,5 @@
 """Dual arithmetic, linear/Newton solvers, quadrature, trajectories, integrator."""
 
-import io
 import math
 import operator
 import os
@@ -206,15 +205,14 @@ def test_trajectory_accepts_decreasing_parameter():
     assert tr.column("x")[-1] == 2.0
 
 
-def test_trajectory_csv_roundtrip_digits():
-    tr = Trajectory(s=np.array([0.0, 1.0]),
-                    states=np.array([[1.0 / 3.0], [2.0 / 3.0]]),
-                    labels=("x",))
-    buf = io.StringIO()
-    tr.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "s,x"
-    assert float(lines[1].split(",")[1]) == 1.0 / 3.0
+def test_integrate_end_snap_is_relative_to_the_span():
+    # on a span of 1e-15 the first accepted step must not be stamped s1:
+    # y' = -1e16 y decays by e^-10 over it
+    tr = integrate(lambda s, y: -1e16 * y, [1.0], 0.0, 1e-15,
+                   IntegratorOptions(min_step=1e-30))
+    assert len(tr) > 2
+    assert tr.s[-1] == 1e-15
+    assert tr.final_state[0] == pytest.approx(math.exp(-10.0), rel=1e-6)
 
 
 def test_integrate_exponential():
@@ -747,7 +745,7 @@ def _reference_integrate(rhs, y0, s0, s1, opts):
                     + opts.rel_tol * np.maximum(np.abs(y), np.abs(yi))
                 err = math.sqrt(float(np.mean((h * (_REF_E @ K) / scale) ** 2)))
             if err <= 1.0:
-                s = float(s1) if abs(s1 - (s + h)) < 1e-14 * max(1.0, abs(s1)) \
+                s = float(s1) if abs(s1 - (s + h)) < 1e-14 * abs(s1 - s0) \
                     else s + h
                 y = yi
                 K[0] = K[6]

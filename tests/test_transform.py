@@ -1,7 +1,8 @@
 """Generating functions: rule solving, kind conversion, restriction probes."""
 
-import json
+import gc
 import math
+import weakref
 from functools import partial
 
 import numpy as np
@@ -159,9 +160,6 @@ def test_restriction_report_identity():
     assert rep.time_global and rep.spacetime_split and rep.subspace_liouville
     assert rep.preserves_H1
     assert rep.liouville_det == pytest.approx(1.0, abs=1e-12)
-    payload = json.loads(rep.to_json())
-    assert set(payload) == {"hessian_det", "preserves_H1", "time_global",
-                            "spacetime_split", "subspace_liouville"}
 
 
 def test_restriction_report_s_dependence_flags():
@@ -223,9 +221,9 @@ def test_transform_hamiltonian_solves_once(monkeypatch):
     solves = []
     newton_solve = numkit.newton_solve
 
-    def counted(residual, x0):
+    def counted(residual, x0, *jacobian):
         solves.append(x0)
-        return newton_solve(residual, x0)
+        return newton_solve(residual, x0, *jacobian)
 
     sys = HamiltonianSystem(
         n=3, H=lambda q, p, t: 0.5 * sum(x * x for x in p) + 0.1 * t * q[0])
@@ -267,14 +265,15 @@ def test_hessian_det_matches_sympy_for_every_kind():
 
 # ---------------------------------------------------------------------------
 # traced rule kernels: at a float point the rule residual and its Jacobian
-# run on kernels traced once per F; they must reproduce the Dual path bit
-# for bit, and dual points and untraceable Fs must keep the Dual path
+# run on kernels traced once per F and kept as long as F; they must
+# reproduce the Dual path bit for bit, and dual points and untraceable Fs
+# must keep the Dual path
 # ---------------------------------------------------------------------------
 
 
 class _Unhashable:
-    """A value callable that cannot be hashed, so its F has no cache entry
-    and keeps the Dual path: the reference for the kernels."""
+    """A value callable that cannot be hashed, as a closure over mutable
+    state may be; its F traces like any other."""
 
     __hash__ = None
 
@@ -286,7 +285,14 @@ class _Unhashable:
 
 
 def _dual_path(F):
-    return GeneratingFunction(kind=F.kind, value=_Unhashable(F.value), n=F.n)
+    """F behind a value that first reads s: that aborts every trace and
+    leaves the arithmetic unchanged, so it is the reference for the
+    kernels."""
+    def value(x, y, a, b, s):
+        value_of(s)
+        return F.value(x, y, a, b, s)
+
+    return GeneratingFunction(kind=F.kind, value=value, n=F.n)
 
 
 def _hexes(values):
@@ -353,15 +359,13 @@ def _polynomial_cases(draw):
 def test_traced_rule_matches_dual_path(case):
     F, pt = case
     ref = _dual_path(F)
-    residual, u = transform._rule(F, pt)
-    ref_residual, ref_u = transform._rule(ref, pt)
-    assert hasattr(residual, "jacobian")
-    assert not hasattr(ref_residual, "jacobian")
+    residual, jacobian, u = transform._rule(F, pt)
+    ref_residual, _, ref_u = transform._rule(ref, pt)
     assert u == ref_u
     # the plain residual, and (r, J) of one seeding, at the start and off it
     for v in (u, [ui + 0.25 for ui in u]):
         assert _hexes(residual(v)) == _hexes(ref_residual(v))
-        r, rows = residual.jacobian(v)
+        r, rows = jacobian(v)
         ref_r, ref_rows = numkit.jacobian_raw(ref_residual, v)
         assert _hexes(r) == _hexes(ref_r)
         assert [_hexes(row) for row in rows] \
@@ -396,12 +400,16 @@ def jacobian_calls(monkeypatch):
 
 def test_repeat_float_apply_runs_on_cached_kernels(jacobian_calls):
     F = lorentz_generating(Boost(beta=(0.6, 0.2, 0.0)))
-    # the first float apply traces F's kernels: one seeding, over leaves
-    assert _image_hexes(apply_generating(F, BOOST_PT)) == BOOST_IMAGE
-    assert len(jacobian_calls) == 1
-    jacobian_calls.clear()
-    assert _image_hexes(apply_generating(F, BOOST_PT)) == BOOST_IMAGE
-    assert jacobian_calls == []
+    unhashable = GeneratingFunction(kind=F.kind, value=_Unhashable(F.value),
+                                    n=F.n)
+    for G in (F, unhashable):
+        jacobian_calls.clear()
+        # the first float apply traces G's kernels: one seeding, over leaves
+        assert _image_hexes(apply_generating(G, BOOST_PT)) == BOOST_IMAGE
+        assert len(jacobian_calls) == 1
+        jacobian_calls.clear()
+        assert _image_hexes(apply_generating(G, BOOST_PT)) == BOOST_IMAGE
+        assert jacobian_calls == []
 
 
 def test_dual_points_and_untraceable_fs_keep_dual_path(jacobian_calls):
@@ -416,7 +424,7 @@ def test_dual_points_and_untraceable_fs_keep_dual_path(jacobian_calls):
         == ('-0x1.0000000000000p+0', '0x1.0000000000002p+0')
     assert (rep.time_global, rep.spacetime_split, rep.subspace_liouville,
             rep.preserves_H1) == (False, False, False, True)
-    # an unhashable value, a quadrature in the value and a converted F:
+    # a value that reads s, a quadrature in the value and a converted F:
     # no kernels, and the Dual path's seedings in every Newton iteration
     timescale = timescale_generating(TimeScaleSpec(xi=lambda t: 1.0 + t))
     converted = legendre_convert(GeneratingFunction(
@@ -430,18 +438,22 @@ def test_dual_points_and_untraceable_fs_keep_dual_path(jacobian_calls):
             (converted, PT,
              ['0x1.4cccccccccccdp+0', '-0x1.0000000000000p+1',
               '0x1.999999999999ap-2', '0x1.ccccccccccccdp-1'])]:
-        assert transform._rule_kernels(G) is None
         jacobian_calls.clear()
         assert _image_hexes(apply_generating(G, pt)) == want
         assert len(jacobian_calls) >= 5
 
 
-def test_rule_kernel_cache_is_bounded():
-    cache = transform._cached_rule_kernels
+def test_rule_kernels_are_freed_with_f():
+    # each F's binder holds its kernels and F itself: a cycle that the
+    # garbage collector frees once F is dropped
+    refs = []
     for i in range(100):
-        apply_generating(shift_f2(a=0.01 * i), PT)
-    info = cache.cache_info()
-    assert info.currsize == info.maxsize == 8
+        F = shift_f2(a=0.01 * i)
+        apply_generating(F, PT)
+        refs.append(weakref.ref(F))
+    del F
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +572,9 @@ def test_converted_apply_solves_once_per_value(monkeypatch):
     solves = []
     newton_solve = numkit.newton_solve
 
-    def counted(residual, x0):
+    def counted(residual, x0, *jacobian):
         solves.append(x0)
-        return newton_solve(residual, x0)
+        return newton_solve(residual, x0, *jacobian)
 
     F = lorentz_generating(Boost(beta=(0.6, 0.2, 0.0)))
     G = legendre_convert(F, "F3")
@@ -581,9 +593,9 @@ def test_aborted_rule_trace_skips_the_jacobian_trace(monkeypatch):
     solves = []
     newton_solve = numkit.newton_solve
 
-    def counted(residual, x0):
+    def counted(residual, x0, *jacobian):
         solves.append(x0)
-        return newton_solve(residual, x0)
+        return newton_solve(residual, x0, *jacobian)
 
     G = legendre_convert(lorentz_generating(Boost(beta=(0.6, 0.2, 0.0))), "F3")
     monkeypatch.setattr(numkit, "newton_solve", counted)
