@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +30,18 @@ class TimeScaleSpec:
 
     xi: object  # callable t -> scalar, > 0 on the working domain
     t0: float = 0.0
+
+
+# the default time scale of the KS functions: xi identically 1, so t = t'
+_UNIT_TIME = TimeScaleSpec(xi=lambda t: 1.0, t0=0.0)
+
+
+def _positive_xi(spec: TimeScaleSpec, tau):
+    """xi(tau), which must be finite and positive: else DomainEvaluationError."""
+    x = spec.xi(tau)
+    if not 0.0 < value_of(x) < math.inf:  # NaN fails both comparisons
+        raise DomainEvaluationError(f"xi({value_of(tau)!r}) not positive")
+    return x
 
 
 @dataclass(frozen=True)
@@ -61,31 +74,15 @@ class KeplerSpec:
         return HamiltonianSystem(n=1, H=H, description="1-D Kepler")
 
 
-@dataclass(frozen=True)
-class KsPoint:
-    """KS coordinates u = (q'_1..q'_4) and their conjugate momenta pu."""
-
-    u: tuple
-    pu: tuple
-
-    def __post_init__(self):
-        if len(self.u) != 4 or len(self.pu) != 4:
-            raise ValueError("u and pu must be 4-vectors")
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "pu", tuple(self.pu))
-
-
 def timescale_generating(spec: TimeScaleSpec, n=1) -> GeneratingFunction:
     """F2 = q.p' - e' * integral_{t0}^{t} dtau / xi(tau).
 
     Induces q' = q, p' = p, t' = the integral, e' = xi(t) e, and preserves H1.
+    xi is checked at every quadrature node.
     """
 
     def inv_xi(tau):
-        x = spec.xi(tau)
-        if value_of(x) <= 0 or not math.isfinite(value_of(x)):
-            raise DomainEvaluationError(f"xi({value_of(tau)!r}) not positive")
-        return 1.0 / x
+        return 1.0 / _positive_xi(spec, tau)
 
     def value(q, pp, t, ep, s):
         return sum(a * b for a, b in zip(q, pp)) \
@@ -195,22 +192,15 @@ def ks_map(u, pu):
     return tuple(q), (p[0], p[1], p[2], 0.0 * p[0])
 
 
-def ks_generating(spec: TimeScaleSpec = None) -> GeneratingFunction:
+def ks_generating(spec: TimeScaleSpec = _UNIT_TIME) -> GeneratingFunction:
     """The F3 generating the KS point transformation (n = 4).
 
-    Defaults to xi identically 1 (t = t').  Note the structural degeneracy:
-    the physical image has q4 = 0 for every u, so the induced map is only
-    canonical on the bilinear-constraint surface (see
-    ks_symplectic_residual).
+    Defaults to xi identically 1 (t = t'); xi is checked at every
+    quadrature node.  Note the structural degeneracy: the physical image
+    has q4 = 0 for every u, so the induced map is only canonical on the
+    bilinear-constraint surface (see ks_symplectic_residual).
     """
-    if spec is None:
-        spec = TimeScaleSpec(xi=lambda t: 1.0, t0=0.0)
-
-    def xi_pos(tau):
-        x = spec.xi(tau)
-        if value_of(x) <= 0 or not math.isfinite(value_of(x)):
-            raise DomainEvaluationError(f"xi({value_of(tau)!r}) not positive")
-        return x
+    xi_pos = partial(_positive_xi, spec)
 
     def value(up, p, tp, e, s):
         u1, u2, u3, u4 = up
@@ -223,22 +213,22 @@ def ks_generating(spec: TimeScaleSpec = None) -> GeneratingFunction:
     return GeneratingFunction(kind="F3", value=value, n=4)
 
 
-def ks_extended_map(pt_ks, spec: TimeScaleSpec = None):
+def ks_extended_map(pt_ks, spec: TimeScaleSpec = _UNIT_TIME):
     """The full extended KS map (u, pu, t', e') -> (q, p, t, e).
 
-    t = integral_0^{t'} xi and e = e'/xi(t'), matching the F3 rules; with
-    xi identically 1 the (t, e) pair passes through unchanged.
+    t = integral_0^{t'} xi and e = e'/xi(t'), matching the F3 rules; xi is
+    checked, as in the F3, at every quadrature node and at t'.  With xi
+    identically 1 (the default) the (t, e) pair passes through unchanged.
     """
-    if spec is None:
-        spec = TimeScaleSpec(xi=lambda t: 1.0, t0=0.0)
     u, pu, tp, ep = list(pt_ks.q), list(pt_ks.p), pt_ks.t, pt_ks.e
     q, p = ks_map(u, pu)
-    t = numkit.quad_fixed(spec.xi, 0.0, tp)
-    e = ep / spec.xi(tp)
+    t = numkit.quad_fixed(partial(_positive_xi, spec), 0.0, tp)
+    e = ep / _positive_xi(spec, tp)
     return ExtendedPoint(q=q, p=p, t=t, e=e, s=pt_ks.s)
 
 
-def ks_symplectic_residual(u, pu, tprime=0.0, spec: TimeScaleSpec = None):
+def ks_symplectic_residual(u, pu, tprime=0.0,
+                           spec: TimeScaleSpec = _UNIT_TIME):
     """Canonicity certificate for the extended KS map at one point.
 
     The map is rank-deficient in the full 10-dimensional extended space
@@ -247,8 +237,6 @@ def ks_symplectic_residual(u, pu, tprime=0.0, spec: TimeScaleSpec = None):
     surface, where the transformation is canonical.  Returns the max
     absolute pairing defect over an orthonormal tangent basis.
     """
-    if spec is None:
-        spec = TimeScaleSpec(xi=lambda t: 1.0, t0=0.0)
     eprime = 0.0
     pt = ExtendedPoint(q=u, p=pu, t=tprime, e=eprime)
     M = map_jacobian(lambda z: ks_extended_map(z, spec), pt)
@@ -256,11 +244,8 @@ def ks_symplectic_residual(u, pu, tprime=0.0, spec: TimeScaleSpec = None):
     R = M.T @ J @ M - J
 
     # gradient of the bilinear constraint in the (q.., t, p.., -e) ordering
-    grad = np.zeros(10)
-    dCdu = [-pu[3], pu[2], -pu[1], pu[0]]
-    dCdpu = [u[3], -u[2], u[1], -u[0]]
-    grad[0:4] = dCdu
-    grad[5:9] = dCdpu
+    _, dC = numkit.grad_raw(lambda z: ks_bilinear(z[:4], z[4:]), [*u, *pu])
+    grad = np.array([*dC[:4], 0.0, *dC[4:], 0.0])
     nrm = np.linalg.norm(grad)
     if nrm < 1e-14:
         raise CollisionChartError("constraint gradient vanishes (u = pu = 0)")

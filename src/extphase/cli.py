@@ -20,7 +20,7 @@ import os
 import random
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,8 +33,6 @@ PROG = "extphase"
 # ---------------------------------------------------------------------------
 # configuration schema
 # ---------------------------------------------------------------------------
-
-_TOLERANCE_KEYS = ("rel_tol", "abs_tol", "max_step", "min_step")
 
 
 def _number(x):
@@ -70,9 +68,9 @@ def _number_list(n):
 # per-scenario parameter schemas: name -> (default, validator, description)
 SCHEMAS = {
     "lorentz": {
-        "beta_x": (0.6, lambda v: _number(v), "x component of v/c"),
-        "beta_y": (0.0, lambda v: _number(v), "y component of v/c"),
-        "beta_z": (0.0, lambda v: _number(v), "z component of v/c"),
+        "beta_x": (0.6, _number, "x component of v/c"),
+        "beta_y": (0.0, _number, "y component of v/c"),
+        "beta_z": (0.0, _number, "z component of v/c"),
         "c": (1.0, lambda v: _number(v) and v > 0, "speed of light"),
         "count": (10, _count, "number of random probe points"),
     },
@@ -151,7 +149,7 @@ def validate(obj):
     errors = []
     if not isinstance(obj, dict):
         return None, ["config must be a JSON object"]
-    known_top = {"scenario", "params", "output_dir", "tolerances", "seed"}
+    known_top = {f.name for f in fields(ScenarioConfig)}
     for key in obj:
         if key not in known_top:
             errors.append(f"unknown key {key!r}")
@@ -195,10 +193,11 @@ def validate(obj):
     if not isinstance(tol, dict):
         errors.append("'tolerances' must be an object")
     else:
+        tol_keys = [f.name for f in fields(IntegratorOptions)]
         for key in tol:
-            if key not in _TOLERANCE_KEYS:
+            if key not in tol_keys:
                 errors.append(f"unknown key {key!r} in 'tolerances'")
-        kwargs = {k: tol[k] for k in _TOLERANCE_KEYS if k in tol}
+        kwargs = {k: tol[k] for k in tol_keys if k in tol}
         if all(_number(v) for v in kwargs.values()):
             try:
                 opts = IntegratorOptions(**kwargs)
@@ -381,14 +380,20 @@ def _run_kepler_regularized(params, rng, opts):
         ("kepler_regularized.csv", ("t'", "x", "dxdt'", "t", "e"), rows)]
 
 
+def _ks_probe(rng, u_low):
+    """A random KS point: u in [u_low, 1]^4 and pu = L(u) p of a random
+    physical momentum p in [-1, 1]^3."""
+    u = tuple(rng.uniform(u_low, 1.0) for _ in range(4))
+    p3 = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+    L = celestial._ks_L(u)
+    return u, tuple(sum(L[r][c] * p3[c] for c in range(3)) for r in range(4))
+
+
 def _run_ks(params, rng, opts):
     radial_max = 0.0
     bilinear_max = 0.0
     for _ in range(params["count"]):
-        u = tuple(rng.uniform(-1.0, 1.0) for _ in range(4))
-        p3 = [rng.uniform(-1.0, 1.0) for _ in range(3)]
-        L = celestial._ks_L(u)
-        pu = tuple(sum(L[r][c] * p3[c] for c in range(3)) for r in range(4))
+        u, pu = _ks_probe(rng, -1.0)
         q, _ = celestial.ks_map(u, pu)
         r = math.sqrt(sum(value_of(x) ** 2 for x in q[:3]))
         u2 = sum(x * x for x in u)
@@ -397,10 +402,7 @@ def _run_ks(params, rng, opts):
                            abs(value_of(celestial.ks_bilinear(u, pu))))
     sym_max = 0.0
     for _ in range(params["count_symplectic"]):
-        u = tuple(rng.uniform(0.3, 1.0) for _ in range(4))
-        p3 = [rng.uniform(-1.0, 1.0) for _ in range(3)]
-        L = celestial._ks_L(u)
-        pu = tuple(sum(L[r][c] * p3[c] for c in range(3)) for r in range(4))
+        u, pu = _ks_probe(rng, 0.3)
         sym_max = max(sym_max, celestial.ks_symplectic_residual(u, pu))
     metrics = {"radial_identity_max": radial_max,
                "bilinear_constraint_max": bilinear_max,
@@ -584,27 +586,25 @@ def run(config: ScenarioConfig) -> RunReport:
 
 
 def _load_config(path):
+    """The validated ScenarioConfig in the file at path, or None once every
+    error is printed to stderr."""
+    config = None
     try:
         with open(path) as fh:
-            text = fh.read()
+            obj = json.loads(fh.read())
     except OSError as exc:
-        return None, [f"cannot read config: {exc}"]
-    try:
-        obj = json.loads(text)
+        errors = [f"cannot read config: {exc}"]
     except json.JSONDecodeError as exc:
-        return None, [f"JSON parse error at line {exc.lineno}, "
-                      f"column {exc.colno}: {exc.msg}"]
-    return obj, []
-
-
-def _cmd_run(args):
-    obj, errors = _load_config(args.config)
-    if not errors:
+        errors = [f"JSON parse error at line {exc.lineno}, "
+                  f"column {exc.colno}: {exc.msg}"]
+    else:
         config, errors = validate(obj)
-    if errors:
-        for e in errors:
-            print(f"{PROG}: error: {e}", file=sys.stderr)
-        return 2
+    for e in errors:
+        print(f"{PROG}: error: {e}", file=sys.stderr)
+    return config
+
+
+def _cmd_run(args, config):
     if args.out is not None:
         config.output_dir = args.out
     if args.seed is not None:
@@ -616,14 +616,7 @@ def _cmd_run(args):
     return 0 if report.passed else 1
 
 
-def _cmd_validate(args):
-    obj, errors = _load_config(args.config)
-    if not errors:
-        config, errors = validate(obj)
-    if errors:
-        for e in errors:
-            print(f"{PROG}: error: {e}", file=sys.stderr)
-        return 2
+def _cmd_validate(config):
     print(json.dumps({"scenario": config.scenario, "params": config.params,
                       "seed": config.seed,
                       "output_dir": config.output_dir},
@@ -651,14 +644,17 @@ def main(argv=None):
     p_val.add_argument("config")
     sub.add_parser("list", help="print scenario schemas")
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
     if args.command == "list":
         return _cmd_list(args)
-    parser.print_help(sys.stderr)
-    return 2
+    if args.command is None:
+        parser.print_help(sys.stderr)
+        return 2
+    config = _load_config(args.config)
+    if config is None:
+        return 2
+    if args.command == "validate":
+        return _cmd_validate(config)
+    return _cmd_run(args, config)
 
 
 if __name__ == "__main__":

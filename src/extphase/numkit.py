@@ -601,22 +601,22 @@ class Trajectory:
     def column(self, label):
         return self.states[:, self.labels.index(label)]
 
-    def _bracket(self, s):
+    def _segment(self, s):
+        """The Hermite data (u, h, y0, y1, f0, f1) of the segment
+        [s0, s0 + h] that holds s, with u = (s - s0) / h."""
+        if self.derivs is None:
+            raise ValueError("trajectory was recorded without dense output")
         sig = 1.0 if self.s[-1] >= self.s[0] else -1.0
-        grid = sig * self.s
-        i = int(np.searchsorted(grid, sig * s))
-        return min(max(i, 1), len(self.s) - 1)
+        i = int(np.searchsorted(sig * self.s, sig * s))
+        i = min(max(i, 1), len(self.s) - 1)
+        s0, s1 = self.s[i - 1], self.s[i]
+        h = s1 - s0
+        return ((s - s0) / h, h, self.states[i - 1], self.states[i],
+                self.derivs[i - 1], self.derivs[i])
 
     def interpolate(self, s):
         """Cubic Hermite interpolation of the state at parameter value s."""
-        if self.derivs is None:
-            raise ValueError("trajectory was recorded without dense output")
-        i = self._bracket(s)
-        s0, s1 = self.s[i - 1], self.s[i]
-        h = s1 - s0
-        u = (s - s0) / h
-        y0, y1 = self.states[i - 1], self.states[i]
-        f0, f1 = self.derivs[i - 1], self.derivs[i]
+        u, h, y0, y1, f0, f1 = self._segment(s)
         h00 = (1 + 2 * u) * (1 - u) ** 2
         h10 = u * (1 - u) ** 2
         h01 = u * u * (3 - 2 * u)
@@ -625,14 +625,7 @@ class Trajectory:
 
     def derivative(self, s):
         """Exact derivative of the cubic Hermite interpolant at s."""
-        if self.derivs is None:
-            raise ValueError("trajectory was recorded without dense output")
-        i = self._bracket(s)
-        s0, s1 = self.s[i - 1], self.s[i]
-        h = s1 - s0
-        u = (s - s0) / h
-        y0, y1 = self.states[i - 1], self.states[i]
-        f0, f1 = self.derivs[i - 1], self.derivs[i]
+        u, h, y0, y1, f0, f1 = self._segment(s)
         dh00 = 6 * u * (u - 1) / h
         dh10 = (1 - u) * (1 - 3 * u)
         dh01 = -6 * u * (u - 1) / h

@@ -68,6 +68,16 @@ class EmField:
                        phi=lambda q, t: 0.0, zeta=0.0, m=m)
 
 
+def _spatial_block(b: Boost):
+    """The 3x3 spatial block delta + (gamma - 1) beta beta^T / beta^2 of the
+    boost, or None below _BETA_FLOOR, where the boost is the identity."""
+    beta, g, b2 = b.beta, b.gamma, b.beta2
+    if b2 < _BETA_FLOOR:
+        return None
+    return [[(1.0 if i == k else 0.0) + (g - 1.0) * beta[i] * beta[k] / b2
+             for k in range(3)] for i in range(3)]
+
+
 def lorentz_generating(b: Boost) -> GeneratingFunction:
     """The F2 that induces the boost map on (q, t, p, e), n = 3.
 
@@ -75,11 +85,9 @@ def lorentz_generating(b: Boost) -> GeneratingFunction:
     gamma [p_x'(x - beta c t) - (e'/c)(c t - beta x)].
     """
     beta, c, g = b.beta, b.c, b.gamma
-    b2 = b.beta2
-    if b2 < _BETA_FLOOR:
+    coef = _spatial_block(b)
+    if coef is None:
         return extended_identity(3)
-    coef = [[(1.0 if i == k else 0.0) + (g - 1.0) * beta[i] * beta[k] / b2
-             for k in range(3)] for i in range(3)]
 
     def value(q, pp, t, ep, s):
         acc = g * (ep / c) * (sum(beta[i] * q[i] for i in range(3)) - c * t)
@@ -97,15 +105,12 @@ def boost_matrix(b: Boost) -> np.ndarray:
     Block-diagonal: the same 4x4 hyperbolic rotation acts on (q, ct) and on
     (p, e/c); determinant 1.
     """
-    beta, g = b.beta, b.gamma
-    b2 = b.beta2
+    g = b.gamma
+    coef = _spatial_block(b)
     lam = np.eye(4)
-    if b2 >= _BETA_FLOOR:
-        for i in range(3):
-            for k in range(3):
-                lam[i, k] = (1.0 if i == k else 0.0) + (g - 1.0) * beta[i] * beta[k] / b2
-            lam[i, 3] = -g * beta[i]
-            lam[3, i] = -g * beta[i]
+    if coef is not None:
+        lam[:3, :3] = coef
+        lam[:3, 3] = lam[3, :3] = [-g * x for x in b.beta]
         lam[3, 3] = g
     M = np.zeros((8, 8))
     M[:4, :4] = lam
@@ -124,8 +129,6 @@ class LorentzHamiltonians:
 
     extended: object
     solved: HamiltonianSystem
-    field: EmField
-    c: float
 
 
 def lorentz_invariant_hamiltonian(f: EmField, c=1.0) -> LorentzHamiltonians:
@@ -134,11 +137,16 @@ def lorentz_invariant_hamiltonian(f: EmField, c=1.0) -> LorentzHamiltonians:
     The extended form is (1/2m)[(P - zeta A)^2 - (e - zeta phi - m c^2)^2/c^2]
     + zeta phi + m c^2; the solved form is
     sqrt(c^2 (P - zeta A)^2 + m^2 c^4) + zeta phi, normalized so that
-    H_L = m c^2 at P = 0 and zero field.
+    H_L = m c^2 at P = 0 and zero field.  An m^2 c^4 that overflows a float
+    raises DomainEvaluationError.
     """
     if c <= 0:
         raise ValueError("c must be positive")
     zeta, m = f.zeta, f.m
+    try:
+        m2c4 = m * m * c ** 4
+    except OverflowError:  # float ** raises where * gives inf
+        raise DomainEvaluationError("m^2 c^4 overflows a float") from None
 
     def kinetic(q, P, t):
         A = f.A(q, t)
@@ -150,7 +158,7 @@ def lorentz_invariant_hamiltonian(f: EmField, c=1.0) -> LorentzHamiltonians:
             / (2.0 * m) + zeta * ph + m * c * c
 
     def solved(q, P, t):
-        rad = c * c * kinetic(q, P, t) + m * m * c ** 4
+        rad = c * c * kinetic(q, P, t) + m2c4
         if value_of(rad) < 0:
             raise DomainEvaluationError("negative radicand in relativistic energy")
         return sqrt(rad) + zeta * f.phi(q, t)
@@ -158,8 +166,7 @@ def lorentz_invariant_hamiltonian(f: EmField, c=1.0) -> LorentzHamiltonians:
     return LorentzHamiltonians(
         extended=extended,
         solved=HamiltonianSystem(n=3, H=solved,
-                                 description="relativistic charged particle"),
-        field=f, c=c)
+                                 description="relativistic charged particle"))
 
 
 def nonrelativistic_hamiltonian(f: EmField) -> HamiltonianSystem:

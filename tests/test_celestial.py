@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from extphase.celestial import (KeplerSpec, KsPoint, TimeScaleSpec,
+from extphase.celestial import (KeplerSpec, TimeScaleSpec,
                                 kepler_direct, kepler_regularized,
                                 ks_bilinear, ks_extended_map, ks_generating,
                                 ks_map, ks_symplectic_residual,
@@ -235,6 +235,22 @@ def test_ks_generating_consistent_with_direct_map():
     assert F.kind == "F3" and F.n == 4
 
 
+def test_ks_map_and_generating_reject_the_same_xi():
+    # xi(t') = t' - 5 is negative on [0, t'], so the map and its F3 both
+    # refuse it
+    from extphase.celestial import _ks_L
+    spec = TimeScaleSpec(xi=lambda t: t - 5.0)
+    u = (0.9, -0.4, 0.7, 0.2)
+    L = _ks_L(u)
+    pu = tuple(sum(L[r][c] * p for c, p in enumerate((0.3, -0.8, 0.5)))
+               for r in range(4))
+    pt_ks = ExtendedPoint(q=u, p=pu, t=0.3, e=1.1)
+    with pytest.raises(DomainEvaluationError, match="not positive"):
+        ks_extended_map(pt_ks, spec)
+    with pytest.raises(DomainEvaluationError, match="not positive"):
+        apply_generating(ks_generating(spec), pt_ks)
+
+
 def test_ks_symplectic_on_constraint_surface():
     from extphase.celestial import _ks_L
     rng = random.Random(8)
@@ -245,11 +261,6 @@ def test_ks_symplectic_on_constraint_surface():
         pu = tuple(sum(L[r][c] * p_phys[c] for c in range(3))
                    for r in range(4))
         assert ks_symplectic_residual(u, pu) < 1e-10
-
-
-def test_ks_point_validation():
-    with pytest.raises(ValueError):
-        KsPoint(u=(1.0, 2.0), pu=(0.0, 0.0))
 
 
 def test_regularized_flow_matches_direct_before_collision():

@@ -1,13 +1,18 @@
 """Config validation, scenario runners, exit codes, deterministic outputs."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import random
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extphase import lagrangian, numkit, tdsystems
 from extphase.cli import (SCHEMAS, ScenarioConfig, _atomic_write, _csv_lines,
@@ -390,6 +395,39 @@ def test_nonfinite_initial_energy_is_a_typed_failure(tmp_path, capsys,
     assert report["error"] \
         == "DomainEvaluationError: initial energy not finite"
     assert report["metrics"] == {"runner_failed": 1.0}
+
+
+_ball = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda b: b[0] ** 2 + b[1] ** 2 + b[2] ** 2 < 1.0)
+
+
+@given(c=st.floats(-300.0, 300.0).map(lambda k: 10.0 ** k), beta=_ball,
+       count=st.integers(1, 3))
+@example(c=1e200, beta=(0.6, 0.0, 0.0), count=10)
+@settings(max_examples=50, deadline=None)
+def test_lorentz_any_speed_of_light_ends_in_a_report(c, beta, count):
+    # every c that passes validate ends with a report and exit 0 or 1, never
+    # a bare exception or a line on stderr; an m^2 c^4 beyond the float
+    # range (c above about 1.2e77) is a typed runner failure
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(os.path.join(tmp, "lorentz.json"), {
+            "scenario": "lorentz",
+            "params": {"c": c, "beta_x": beta[0], "beta_y": beta[1],
+                       "beta_z": beta[2], "count": count}})
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            assert main(["validate", cfg]) == 0
+            code = main(["run", cfg, "--out", out])
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
+    assert code in (0, 1)
+    assert err.getvalue() == ""
+    if c > 1.2e77:
+        assert report["metrics"] == {"runner_failed": 1.0}
+        assert report["error"] \
+            == "DomainEvaluationError: m^2 c^4 overflows a float"
 
 
 def _per_value_csv_text(header, rows):

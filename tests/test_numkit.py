@@ -203,6 +203,9 @@ def test_trajectory_accepts_decreasing_parameter():
                     states=np.arange(3.0).reshape(3, 1), labels=("x",))
     assert len(tr) == 3
     assert tr.column("x")[-1] == 2.0
+    for dense in (tr.interpolate, tr.derivative):
+        with pytest.raises(ValueError, match="without dense output"):
+            dense(0.75)
 
 
 def test_integrate_end_snap_is_relative_to_the_span():
@@ -233,6 +236,9 @@ def test_integrate_harmonic_and_dense_output():
 def test_integrate_backwards():
     tr = integrate(lambda s, y: [y[0]], [1.0], 0.0, -1.0, labels=("x",))
     assert tr.final_state[0] == pytest.approx(math.exp(-1.0), rel=1e-10)
+    # dense output on a decreasing s
+    assert tr.interpolate(-0.5)[0] == pytest.approx(math.exp(-0.5), rel=1e-9)
+    assert tr.derivative(-0.5)[0] == pytest.approx(math.exp(-0.5), rel=1e-7)
 
 
 def test_integrate_stalls_on_nan_with_context():
