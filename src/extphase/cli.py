@@ -592,7 +592,7 @@ def _load_config(path):
     try:
         with open(path) as fh:
             obj = json.loads(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         errors = [f"cannot read config: {exc}"]
     except json.JSONDecodeError as exc:
         errors = [f"JSON parse error at line {exc.lineno}, "

@@ -147,9 +147,11 @@ def euler_lagrange_residual(sys: LagrangianSystem, traj):
     """Residuals of the extended and conventional Euler-Lagrange equations.
 
     traj is a Trajectory in s whose state columns are (q_1..q_n, t).  The
-    velocities come from the dense output (cubic Hermite); the outer d/ds of
-    the momenta is a central difference, the package's one finite
-    difference.  Accuracy is interpolation-limited (~1e-6).
+    velocities come from the dense output (`Trajectory.derivative`, of
+    degree 7 between interior samples); the outer d/ds of the momenta is a
+    central difference, the package's one finite difference.  Accuracy is
+    set by the interpolant's second derivative, which that difference
+    takes: about 1e-8 on an exact orbit tabulated at 6001 points of [0, 3].
     Returns (max extended residual, max conventional residual) over
     interior sample points.
     """

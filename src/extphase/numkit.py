@@ -602,39 +602,60 @@ class Trajectory:
         return self.states[:, self.labels.index(label)]
 
     def _segment(self, s):
-        """The Hermite data (u, h, y0, y1, f0, f1) of the segment
-        [s0, s0 + h] that holds s, with u = (s - s0) / h."""
+        """The Hermite interpolant at s through the y and f of the samples
+        around the segment that holds s: two on each side, fewer at the
+        ends, so of degree 7 inside and of degree 3 or 5 at the ends.
+
+        Returns ((a, b), (da, db), y0, dys, fs): the value weights and
+        their derivatives in s, the state y0 at the segment's start, and
+        the window's y - y0 and f.  The value is y0 + a @ dys + b @ fs and
+        the derivative da @ dys + db @ fs: the weights a sum to 1 and da to
+        0, so y0 itself takes no part in their rounding, which a central
+        difference of the derivative would otherwise amplify."""
         if self.derivs is None:
             raise ValueError("trajectory was recorded without dense output")
         sig = 1.0 if self.s[-1] >= self.s[0] else -1.0
         i = int(np.searchsorted(sig * self.s, sig * s))
         i = min(max(i, 1), len(self.s) - 1)
-        s0, s1 = self.s[i - 1], self.s[i]
-        h = s1 - s0
-        return ((s - s0) / h, h, self.states[i - 1], self.states[i],
-                self.derivs[i - 1], self.derivs[i])
+        lo, hi = max(i - 2, 0), min(i + 2, len(self.s))
+        # with l_j the Lagrange basis of the nodes t: value weights
+        # (1 - 2 l_j'(t_j) (s - t_j)) l_j(s)^2 and (s - t_j) l_j(s)^2
+        # (HNW, Solving ODEs I, II.6), and their derivatives in s, all on
+        # Python floats, the cheaper scalars
+        s = float(s)
+        t = self.s[lo:hi].tolist()
+        a, b, da, db = [], [], [], []
+        for j, tj in enumerate(t):
+            lj, dlj, w = 1.0, 0.0, 0.0  # l_j(s), l_j'(s), l_j'(t_j)
+            for ti in t[:j] + t[j + 1:]:
+                r = 1.0 / (tj - ti)
+                dlj = (dlj * (s - ti) + lj) * r
+                lj = lj * (s - ti) * r
+                w += r
+            d = s - tj
+            g = 1.0 - 2.0 * w * d
+            a.append(g * lj * lj)
+            b.append(d * lj * lj)
+            da.append(2.0 * lj * (g * dlj - w * lj))
+            db.append(lj * (lj + 2.0 * d * dlj))
+        ys = self.states[lo:hi]
+        y0 = ys[i - 1 - lo]
+        return ((a, b), (da, db), y0, ys - y0, self.derivs[lo:hi])
 
     def interpolate(self, s):
-        """Cubic Hermite interpolation of the state at parameter value s."""
-        u, h, y0, y1, f0, f1 = self._segment(s)
-        h00 = (1 + 2 * u) * (1 - u) ** 2
-        h10 = u * (1 - u) ** 2
-        h01 = u * u * (3 - 2 * u)
-        h11 = u * u * (u - 1)
-        return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+        """The state at parameter value s, from the degree-7 Hermite
+        interpolant through the 4 samples nearest s (see `_segment`)."""
+        (a, b), _, y0, dys, fs = self._segment(s)
+        return y0 + (np.dot(a, dys) + np.dot(b, fs))
 
     def derivative(self, s):
-        """Exact derivative of the cubic Hermite interpolant at s."""
-        u, h, y0, y1, f0, f1 = self._segment(s)
-        dh00 = 6 * u * (u - 1) / h
-        dh10 = (1 - u) * (1 - 3 * u)
-        dh01 = -6 * u * (u - 1) / h
-        dh11 = u * (3 * u - 2)
-        return dh00 * y0 + dh10 * f0 + dh01 * y1 + dh11 * f1
+        """Exact derivative at s of the interpolant of `interpolate`."""
+        _, (a, b), _, dys, fs = self._segment(s)
+        return np.dot(a, dys) + np.dot(b, fs)
 
 
 # ---------------------------------------------------------------------------
-# adaptive embedded Runge-Kutta 5(4)
+# adaptive embedded Runge-Kutta 8(5,3)
 # ---------------------------------------------------------------------------
 
 
@@ -654,26 +675,69 @@ class IntegratorOptions:
                              "max_step")
 
 
-# Dormand-Prince 5(4) tableau (FSAL): stage i runs at s + _C[i] h and reads
-# row i of _A, and the last row is the 5th-order solution, so stage 7 is
-# evaluated at y5.  _C holds Python floats, so the RHS gets a float stage
-# time, not a numpy scalar of the same value.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                -92097 / 339200, 187 / 2100, 1 / 40])
-# local error estimate y5 - y4 = h * (_E @ K), free of the cancellation
-_E = _A[6] - _B4
-# the nonzero part _A[i, :i] of each row, sliced once: a contiguous view
-_ROWS = tuple(_A[i, :i] for i in range(7))
+# Dormand-Prince 8(5,3) tableau, DOP853 (Prince & Dormand 1981, J. Comput.
+# Appl. Math. 7, 67-75), with the digits of Hairer's dop853.f (Hairer,
+# Norsett & Wanner, *Solving ODEs I*, II.10).  Stage i + 1 runs at
+# s + _C[i] h and _ROWS[i] holds its i coefficients on the stages before
+# it; the last row holds the 8th-order weights, so stage 13 is evaluated at
+# y8 (FSAL).  _C holds Python floats, so the RHS gets a float stage time,
+# not a numpy scalar of the same value.
+_C = (0.0, 5.26001519587677318785587544488e-2,
+      7.89002279381515978178381316732e-2, 1.18350341907227396726757197510e-1,
+      2.81649658092772603273242802490e-1, 1 / 3, 1 / 4, 4 / 13, 127 / 195,
+      3 / 5, 6 / 7, 1.0, 1.0)
+_ROWS = tuple(np.array(row, dtype=float) for row in (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0,
+     8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0,
+     -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0,
+     1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0,
+     1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+     -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0,
+     -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+     2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+     -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0,
+     -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+     2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+     -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0,
+     5.18637242884406370830023853209, 1.09143734899672957818500254654,
+     -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+     2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+     -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0,
+     -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+     -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+     -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+     1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1),
+    (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+     4.45031289275240888144113950566, 1.89151789931450038304281599044,
+     -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+     4.47106157277725905176885569043e-2),
+))
+# the 5th-order error estimate y8 - y5 = h * (_E5 @ K[:12]), and the
+# 3rd-order one h * (_E3 @ K[:12]): the 8th-order weights less those of
+# the 3rd-order solution, which sit on stages 1, 9 and 12
+_E5 = np.array([
+    1.312004499419488073250102996e-2, 0.0, 0.0, 0.0, 0.0,
+    -1.225156446376204440720569753, -4.957589496572501915214079952e-1,
+    1.664377182454986536961530415, -3.503288487499736816886487290e-1,
+    3.341791187130174790297318841e-1, 8.192320648511571246570742613e-2,
+    -2.235530786388629525884427845e-2])
+_E3 = _ROWS[12] - np.array([
+    2.44094488188976377952755905512e-1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    7.33846688281611857341361741547e-1, 0.0, 0.0,
+    2.20588235294117647058823529412e-2])
 
 # np.exceptions is numpy >= 1.25; pyproject allows 1.23
 _ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
@@ -683,7 +747,7 @@ MAX_STEPS = 10 ** 6
 
 
 def integrate(rhs, y0, s0, s1, opts=None, labels=None):
-    """Adaptive Dormand-Prince 5(4) integration of y' = rhs(s, y) from s0 to s1.
+    """Adaptive Dormand-Prince 8(5,3) integration of y' = rhs(s, y), s0 to s1.
 
     rhs is called with s a float and y a float64 array, every call (the
     first included) with numpy's overflow, invalid and divide warnings
@@ -701,14 +765,19 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
     An empty y0, a non-finite s0 or s1, or s1 == s0 raises ValueError
     before rhs is called.
 
-    The method is the Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner,
-    *Solving ODEs I*, II.5) in one loop.  Each stage sum is one product of
-    its tableau row with the stages before it: ``ndarray.dot`` for rows of
-    length 2 and more and for the error row, ``@`` for the length-1 row of
+    The method is DOP853, the 12-stage Dormand-Prince pair of order 8 with
+    embedded 5th- and 3rd-order estimates (Hairer, Norsett & Wanner,
+    *Solving ODEs I*, II.10), in one loop; its 13th evaluation, at y8, is
+    the next step's first stage.  Each stage sum is one product of its
+    tableau row with the stages before it: ``ndarray.dot`` for rows of
+    length 2 and more and for the error rows, ``@`` for the length-1 row of
     stage 2 (where ``dot`` would give -0.0 for a sum that ``@`` gives as
-    0.0).  The error norm is formed in place and reuses |y| from the step
-    before; the bits are those of ``y + h * (row @ K)`` and
-    ``h * (_E @ K) / (abs_tol + rel_tol * max(|y|, |y5|))``.
+    0.0).  With e5 = (_E5 @ K) / scale and e3 = (_E3 @ K) / scale, where
+    scale = abs_tol + rel_tol * max(|y|, |y8|), the error is HNW's combined
+    estimate err = |h| sum(e5^2) / sqrt((sum(e5^2) + 0.01 sum(e3^2)) m),
+    formed in place with |y| from the step before, and the next step is h
+    times 0.9 err^(-1/8), clamped to [0.2, 5].  The bits are those of
+    ``y + h * (row @ K)`` and of that formula.
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -730,14 +799,16 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
                 labels = tuple(f"y{i}" for i in range(m))
             direction = 1.0 if s1 > s0 else -1.0
             s = s0
-            K = np.empty((7, m))
+            K = np.empty((13, m))
+            # stages 1..12, which the error estimates read
+            K12 = K[:12]
             # stage i: its time fraction, its tableau row's product with the
             # stages it reads (views of K), the row of K it fills, and that
             # row's dot for the finiteness check; dot is the cheaper call
             # with the bits of @ for rows of length >= 2, not for length 1
             stages = [(_C[i], (_ROWS[i].dot if i >= 2 else
                                _ROWS[i].__matmul__), K[:i], K[i], K[i].dot)
-                      for i in range(1, 7)]
+                      for i in range(1, 13)]
             # K[i].dot(zeros) is NaN exactly when K[i] holds an inf or a
             # NaN, since 0 * inf and 0 * nan are NaN
             zeros = np.zeros(m)
@@ -748,7 +819,7 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
                         "right-hand side not finite at initial state")
                 ss, ys, fs = [s], [y], [K[0].copy()]
                 h = direction * min(opts.max_step, abs(s1 - s0))
-                # |y|, for the error scale; an accepted step hands on |y5|
+                # |y|, for the error scale; an accepted step hands on |y8|
                 ay = np.abs(y)
                 attempts = 0
                 while (s1 - s) * direction > 0:
@@ -773,27 +844,36 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
                         if not math.isfinite(Ki_dot(zeros)):
                             break
                     else:
-                        # abs_tol + rel_tol * max(|y|, |y5|) and
-                        # h * (_E @ K) / scale, in place
+                        # scale = abs_tol + rel_tol * max(|y|, |y8|), and
+                        # the sums of squares of e5 and e3, in place
                         ayi = np.abs(yi)
                         scale = np.maximum(ay, ayi)
                         scale *= opts.rel_tol
                         scale += opts.abs_tol
-                        q = _E.dot(K)
-                        q *= hn
-                        q /= scale
-                        err = math.sqrt(np.add.reduce(q * q) / m)
+                        e5 = _E5.dot(K12)
+                        e5 /= scale
+                        e5 *= e5
+                        e3 = _E3.dot(K12)
+                        e3 /= scale
+                        e3 *= e3
+                        n5 = float(np.add.reduce(e5))
+                        den = (n5 + 0.01 * float(np.add.reduce(e3))) * m
+                        # both estimates 0 is a zero error; a NaN or an
+                        # overflow anywhere is an infinite one
+                        err = abs(h) * n5 / math.sqrt(den) \
+                            if 0 < den < math.inf \
+                            else 0.0 if den == 0 else math.inf
                     if err <= 1.0:
                         s = s1 if abs(s1 - (s + h)) < 1e-14 * abs(s1 - s0) \
                             else s + h
-                        y = yi  # the input of the last stage is y5
+                        y = yi  # the input of the last stage is y8
                         ay = ayi
-                        K[0] = K[6]  # FSAL
+                        K[0] = K[12]  # FSAL
                         ss.append(s)
                         ys.append(y)
                         fs.append(K[0].copy())
                     # a failed stage or a non-finite error (NaN or inf) shrinks by 0.2
-                    factor = 0.9 * err ** -0.2 if 0 < err < math.inf \
+                    factor = 0.9 * err ** -0.125 if 0 < err < math.inf \
                         else 5.0 if err == 0 else 0.2
                     h = direction * min(abs(h) * min(5.0, max(0.2, factor)),
                                         opts.max_step)

@@ -33,10 +33,13 @@ class Boost:
         b = tuple(float(x) for x in self.beta)
         if len(b) != 3:
             raise ValueError("beta must be a 3-vector")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        # each check is written so that a NaN fails it
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c = {self.c} must be positive and finite")
+        if not all(map(math.isfinite, b)):
+            raise ValueError(f"beta = {b} must be finite")
         b2 = sum(x * x for x in b)
-        if b2 >= 1.0:
+        if not b2 < 1.0:
             raise SuperluminalError(f"|beta| = {math.sqrt(b2):.6g} >= 1")
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "gamma", 1.0 / math.sqrt(1.0 - b2))

@@ -122,6 +122,16 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_config_not_utf8_exits_2(tmp_path, capsys):
+    # a \xff byte inside a JSON string: the read fails, not the parse
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(b'{"scenario": "ks", "output_dir": "\xff"}')
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config" in err and "Traceback" not in err
+
+
 def test_cli_validate_and_list(tmp_path, capsys):
     cfg = write_config(tmp_path / "v.json", {"scenario": "kepler-direct"})
     assert main(["validate", cfg]) == 0

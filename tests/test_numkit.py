@@ -241,6 +241,82 @@ def test_integrate_backwards():
     assert tr.derivative(-0.5)[0] == pytest.approx(math.exp(-0.5), rel=1e-7)
 
 
+def test_dop853_tableau_conditions():
+    # the stage matrix, the 8th-order weights and the 13 stage times
+    A, b, c = _REF_A[:12], _REF_A[12], _REF_C
+    # every stage time is its row sum; the FSAL stage runs at y8, s + h
+    np.testing.assert_allclose(A.sum(axis=1), c[:12], rtol=0.0, atol=1e-14)
+    assert c[12] == 1.0 and b.sum() == pytest.approx(1.0, abs=1e-14)
+    # the stability polynomial of an 8th-order method: b A^(k-1) 1 = 1/k!,
+    # and the quadrature conditions b c^(k-1) = 1/k
+    v = np.ones(12)
+    for k in range(1, 9):
+        assert b @ v == pytest.approx(1.0 / math.factorial(k), abs=1e-14)
+        assert b @ c[:12] ** (k - 1) == pytest.approx(1.0 / k, abs=1e-14)
+        v = A @ v
+    # each error estimate is a difference of two solutions: no constant part
+    for e in (numkit._E5, numkit._E3):
+        assert abs(e.sum()) < 1e-14
+
+
+def _closed_form_runs():
+    """(trajectory, solution, its derivative) at default options: y'' = -y
+    over 50 time units, and y' = y cos s forward and backward over 20."""
+    return [
+        (integrate(lambda s, y: [y[1], -y[0]], [1.0, 0.0], 0.0, 50.0),
+         lambda s: np.array([math.cos(s), -math.sin(s)]),
+         lambda s: np.array([-math.sin(s), -math.cos(s)])),
+    ] + [
+        (integrate(lambda s, y: y * math.cos(s), [1.0], 0.0, s1),
+         lambda s: np.array([math.exp(math.sin(s))]),
+         lambda s: np.array([math.cos(s) * math.exp(math.sin(s))]))
+        for s1 in (20.0, -20.0)]
+
+
+def test_integrate_closed_forms_at_default_options():
+    (osc, y, _), (fwd, z, _), (bwd, _, _) = _closed_form_runs()
+    # max_step = 0.1 bounds the steps, not the tolerance: 500 steps
+    assert len(osc) <= 502
+    np.testing.assert_allclose(osc.final_state, y(50.0), rtol=0.0, atol=1e-11)
+    for tr, s1 in ((fwd, 20.0), (bwd, -20.0)):
+        assert tr.s[-1] == s1
+        np.testing.assert_allclose(tr.final_state, z(s1), rtol=1e-12)
+
+
+def test_dense_output_at_every_segment_midpoint():
+    # degree 7 inside, and degree 5 on the two end segments, which have one
+    # sample on their outer side; a cubic Hermite is off by about
+    # h^4 / 384 = 2.6e-7 on the oscillator
+    for (tr, y, dy), inner in zip(_closed_form_runs(), (2e-12, 1e-9, 1e-9)):
+        mids = 0.5 * (tr.s[1:] + tr.s[:-1])
+        err = np.array([[np.max(np.abs(tr.interpolate(s) - y(s))),
+                         np.max(np.abs(tr.derivative(s) - dy(s)))]
+                        for s in mids])
+        assert np.all(err < [1e-8, 1e-7])
+        assert np.all(err[1:-1] < inner)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_dense_output_reproduces_polynomials_of_its_degree(n):
+    # with k samples in the window the interpolant has degree 2k - 1: a
+    # 2-sample trajectory reproduces a cubic, a 3-sample one a quintic, and
+    # the interior segments of a longer one a degree-7 polynomial; the
+    # samples run backwards, with uneven gaps
+    deg = {2: 3, 3: 5, 6: 7}[n]
+    coef = np.array([0.3, -1.1, 0.7, 0.25, -0.4, 0.9, -0.15, 0.05])[:deg + 1]
+    poly = np.polynomial.Polynomial(coef)
+    s = 1.0 - np.cumsum([0.0, 0.4, 0.25, 0.5, 0.3, 0.45])[:n]
+    tr = Trajectory(s=s, states=poly(s)[:, None], labels=("y",),
+                    derivs=poly.deriv()(s)[:, None])
+    interior = range(1, n - 2) if n > 3 else range(n - 1)
+    for i in interior:
+        for u in (0.0, 0.3, 0.5, 0.9):
+            x = s[i] + u * (s[i + 1] - s[i])
+            assert tr.interpolate(x)[0] == pytest.approx(poly(x), abs=1e-13)
+            assert tr.derivative(x)[0] == pytest.approx(poly.deriv()(x),
+                                                        abs=1e-12)
+
+
 def test_integrate_stalls_on_nan_with_context():
     def rhs(s, y):
         # a step stops at its first non-finite stage, so no stage is ever
@@ -714,18 +790,12 @@ def test_trace_aborts_on_long_tapes_and_non_scalar_outputs(monkeypatch):
 # integrate must reproduce its samples bit for bit
 # ---------------------------------------------------------------------------
 
-_REF_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_REF_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_REF_E = _REF_A[6] - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                               -92097 / 339200, 187 / 2100, 1 / 40])
+# the stage matrix as one array: row i holds the i coefficients of stage
+# i + 1 in its first i entries, and the last row the 8th-order weights
+_REF_C = np.array(numkit._C)
+_REF_A = np.zeros((13, 12))
+for _i, _row in enumerate(numkit._ROWS):
+    _REF_A[_i, :_i] = _row
 
 
 def _reference_integrate(rhs, y0, s0, s1, opts):
@@ -733,7 +803,7 @@ def _reference_integrate(rhs, y0, s0, s1, opts):
     y = np.array(y0, dtype=float)
     direction = 1.0 if s1 > s0 else -1.0
     s = float(s0)
-    K = np.empty((7, len(y)))
+    K = np.empty((13, len(y)))
     K[0] = rhs(s, y)
     ss, ys, fs = [s], [y], [K[0].copy()]
     h = direction * min(opts.max_step, abs(s1 - s0))
@@ -741,7 +811,7 @@ def _reference_integrate(rhs, y0, s0, s1, opts):
         while (s1 - s) * direction > 0:
             h = direction * min(abs(h), abs(s1 - s))
             err = math.inf
-            for i in range(1, 7):
+            for i in range(1, 13):
                 yi = y + h * (_REF_A[i, :i] @ K[:i])
                 K[i] = rhs(s + _REF_C[i] * h, yi)
                 if not np.all(np.isfinite(K[i])):
@@ -749,16 +819,20 @@ def _reference_integrate(rhs, y0, s0, s1, opts):
             else:
                 scale = opts.abs_tol \
                     + opts.rel_tol * np.maximum(np.abs(y), np.abs(yi))
-                err = math.sqrt(float(np.mean((h * (_REF_E @ K) / scale) ** 2)))
+                n5 = float(np.sum((numkit._E5 @ K[:12] / scale) ** 2))
+                n3 = float(np.sum((numkit._E3 @ K[:12] / scale) ** 2))
+                den = (n5 + 0.01 * n3) * len(y)
+                err = abs(h) * n5 / math.sqrt(den) if 0 < den < math.inf \
+                    else 0.0 if den == 0 else math.inf
             if err <= 1.0:
                 s = float(s1) if abs(s1 - (s + h)) < 1e-14 * abs(s1 - s0) \
                     else s + h
                 y = yi
-                K[0] = K[6]
+                K[0] = K[12]
                 ss.append(s)
                 ys.append(y)
                 fs.append(K[0].copy())
-            factor = 0.9 * err ** -0.2 if 0 < err < math.inf \
+            factor = 0.9 * err ** -0.125 if 0 < err < math.inf \
                 else 5.0 if err == 0 else 0.2
             h = direction * min(abs(h) * min(5.0, max(0.2, factor)),
                                 opts.max_step)
@@ -845,6 +919,13 @@ def test_integrate_matches_reference_loop_on_negative_zeros():
                              IntegratorOptions())
 
 
+def test_integrate_matches_reference_loop_on_an_overflowing_error():
+    # finite stages whose error sums overflow at every h: every step is
+    # rejected, down to the min_step stall
+    _check_against_reference(lambda s, y: [1.5e308], [0.0], 0.0, 1.0,
+                             IntegratorOptions())
+
+
 # signed zeros and infinities, NaNs with a payload and with the sign bit,
 # subnormals, and values whose products overflow
 _SPECIAL_VALUES = np.concatenate([
@@ -857,15 +938,15 @@ _SPECIAL_VALUES = np.concatenate([
 @pytest.mark.parametrize("width", list(range(1, 65)) + [100, 205])
 def test_stage_row_dot_matches_matmul_bits(width):
     # integrate forms the stage sums of rows of length >= 2 and the error
-    # estimate with ndarray.dot in place of @; the two must agree bit for
+    # estimates with ndarray.dot in place of @; the two must agree bit for
     # bit, NaN payloads and signed zeros included, on this numpy and BLAS
     rng = np.random.default_rng(width)
-    rows = [numkit._ROWS[i] for i in range(2, 7)] + [numkit._E]
+    rows = [numkit._ROWS[i] for i in range(2, 13)] + [numkit._E5, numkit._E3]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(20):
-            K = rng.standard_normal((7, width)) \
-                * 10.0 ** rng.integers(-300, 300, (7, width))
-            special = rng.random((7, width)) < 0.5
+            K = rng.standard_normal((13, width)) \
+                * 10.0 ** rng.integers(-300, 300, (13, width))
+            special = rng.random((13, width)) < 0.5
             K[special] = rng.choice(_SPECIAL_VALUES, special.sum())
             for row in rows:
                 Kprev = K[:len(row)]

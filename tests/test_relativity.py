@@ -29,6 +29,19 @@ def test_superluminal_rejected():
         Boost(beta=(1.0, 0.0, 0.0))
     with pytest.raises(SuperluminalError):
         Boost(beta=(0.8, 0.8, 0.0))
+    # finite but with |beta|^2 overflowing
+    with pytest.raises(SuperluminalError):
+        Boost(beta=(1e200, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("beta, c", [
+    ((math.nan, 0.0, 0.0), 1.0), ((0.0, -math.inf, 0.0), 1.0),
+    ((0.6, 0.0, 0.0), math.nan), ((0.6, 0.0, 0.0), math.inf),
+    ((0.6, 0.0, 0.0), 0.0), ((0.6, 0.0, 0.0), -1.0)])
+def test_boost_rejects_non_finite_beta_and_c(beta, c):
+    # not superluminal, and never a Boost with gamma = NaN
+    with pytest.raises(ValueError):
+        Boost(beta=beta, c=c)
 
 
 def test_boost_of_unit_event():
