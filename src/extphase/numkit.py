@@ -470,19 +470,36 @@ def residual_binder(res, k, m):
     return bind
 
 
-def solve_linear(A, b):
-    """Gaussian elimination with partial pivoting, generic over dual entries."""
+def solve_linear(A, b, equilibrated=False):
+    """Gaussian elimination with partial pivoting, generic over dual entries.
+
+    A pivot is singular at or below 1e-13 times the largest entry of A.
+    With ``equilibrated``, the reference is the largest entry of the
+    pivot's own row or of its own column of A, whichever is smaller, so
+    that equations and unknowns of unlike scale do not make a regular
+    system look singular; the pivots and the result are the same.
+    """
     n = len(b)
     M = [list(row) + [bi] for row, bi in zip(A, b)]
-    scale = max((abs(value_of(M[i][j])) for i in range(n) for j in range(n)),
-                default=0.0)
-    if scale == 0.0:
+    top = max((abs(value_of(M[i][j])) for i in range(n) for j in range(n)),
+              default=0.0)
+    if top == 0.0:
         raise DegeneracyError("singular linear system (zero matrix)")
+
+    def largest(entries):
+        return max(abs(value_of(v)) for v in entries)
+
+    order = list(range(n))  # the row of A that each row of M came from
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(value_of(M[r][col])))
-        if abs(value_of(M[piv][col])) < 1e-13 * scale:
+        pivot = abs(value_of(M[piv][col]))
+        # the row and column scales are at most top, so they are read only
+        # for a pivot that the test against top already finds singular
+        if pivot <= 1e-13 * top and (not equilibrated or pivot <= 1e-13 * min(
+                largest(A[order[piv]]), largest(row[col] for row in A))):
             raise DegeneracyError("singular linear system")
         M[col], M[piv] = M[piv], M[col]
+        order[col], order[piv] = order[piv], order[col]
         inv = 1.0 / M[col][col] if not isinstance(M[col][col], Dual) \
             else M[col][col] ** -1.0
         for r in range(col + 1, n):
@@ -499,9 +516,11 @@ def solve_linear(A, b):
 
 
 # damped Newton stops once the max-norm of the residual is below _NEWTON_TOL,
-# and gives up after _NEWTON_MAX_ITER iterations
+# and gives up after _NEWTON_MAX_ITER iterations; a second polishing step
+# longer than _NEWTON_SETTLE * (1 + max |x|) marks a singular root
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-12
+_NEWTON_SETTLE = 1e-9
 
 
 def newton_solve(residual, x0, jacobian=None):
@@ -509,8 +528,17 @@ def newton_solve(residual, x0, jacobian=None):
 
     After the primal residual converges, two polishing steps are taken so
     that any dual parts riding along converge to the exact implicit-function
-    derivatives as well.  Each (r, J) comes from jacobian(x), by default
-    ``jacobian_raw(residual, x)``; a `residual_binder` pair passes its own.
+    derivatives as well.  A root is degenerate, and raises
+    :class:`DegeneracyError`, if its Jacobian is singular relative to its
+    largest entry, or if the second polishing step is not at rounding level:
+    at a double root Newton converges only linearly, and the residual falls
+    below its tolerance while x is still about its square root away.  On
+    the way to the root, the Jacobian is singular only relative to its own
+    rows and columns (`solve_linear`'s ``equilibrated``): an iterate that
+    runs off to a root at infinity, where one unknown dwarfs the others, is
+    a failed solve, not a degenerate one.  Each (r, J) comes from
+    jacobian(x), by default ``jacobian_raw(residual, x)``; a
+    `residual_binder` pair passes its own.
     """
     if jacobian is None:
         def jacobian(x):
@@ -528,8 +556,12 @@ def newton_solve(residual, x0, jacobian=None):
                 r, J = jacobian(x)
                 dx = solve_linear(J, [-ri for ri in r])
                 x = [xi + di for xi, di in zip(x, dx)]
+            step = norm(dx)
+            if step > _NEWTON_SETTLE * (1.0 + norm(x)):
+                raise DegeneracyError(
+                    f"Newton polishing step {step:.3e} at a singular root")
             return x
-        dx = solve_linear(J, [-ri for ri in r])
+        dx = solve_linear(J, [-ri for ri in r], equilibrated=True)
         lam = 1.0
         for _ in range(8):
             trial = [xi + lam * di for xi, di in zip(x, dx)]

@@ -143,6 +143,18 @@ def test_solve_linear_singular_raises():
         solve_linear([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
 
 
+def test_solve_linear_equilibrated_scales_rows_and_columns():
+    # det = -a^2 with a = 1e-3 against an entry of 1e12: singular relative
+    # to the largest entry, regular relative to its own rows and columns
+    A, b = [[0.0, 1e-3], [1e-3, -1e12]], [1.0, 0.0]
+    with pytest.raises(DegeneracyError):
+        solve_linear(A, b)
+    x = solve_linear(A, b, equilibrated=True)
+    assert x == pytest.approx([1e18, 1e3], rel=1e-12)
+    with pytest.raises(DegeneracyError):
+        solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0], equilibrated=True)
+
+
 def test_newton_solve_scalar_root():
     x = newton_solve(lambda v: [v[0] ** 2 - 2.0], [1.0])
     assert value_of(x[0]) == pytest.approx(math.sqrt(2.0), abs=1e-12)
@@ -156,6 +168,13 @@ def test_newton_solve_branch_follows_seed():
 def test_newton_solve_divergent_raises():
     with pytest.raises(ImplicitSolveError):
         newton_solve(lambda v: [v[0] ** 2 + 1.0], [0.5])
+
+
+def test_newton_solve_double_root_raises():
+    # (x - 2)^2 = 0: the residual falls below tolerance about 1e-6 short of
+    # the root, and Newton then only halves the distance per step
+    with pytest.raises(DegeneracyError):
+        newton_solve(lambda v: [(v[0] - 2.0) ** 2], [1.0])
 
 
 def test_newton_solve_dual_unknowns_give_implicit_derivative():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from extphase import numkit, transform
 from extphase.celestial import TimeScaleSpec, timescale_generating
-from extphase.errors import DegeneracyError, ExtphaseError
+from extphase.errors import (DegeneracyError, ExtphaseError,
+                             ImplicitSolveError)
 from extphase.numkit import sin, value_of
 from extphase.phase import (ExtendedPoint, HamiltonianSystem, map_jacobian,
                             symplectic_residual)
@@ -541,6 +542,29 @@ def test_legendre_convert_matches_nested_reference(case):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
         else:
             assert got == want
+
+
+@pytest.mark.parametrize("c, q, error", [
+    (0.25, 0.0, DegeneracyError),
+    (0.25, 1.0, DegeneracyError),
+    (0.28125, 1.0, ImplicitSolveError),
+])
+def test_legendre_convert_at_a_fold_raises_like_reference(c, q, error):
+    # F2 = q p' - t e' - c q p'^2: p = p' - c p'^2 has the double root
+    # p' = 2 at p = 1 for c = 1/4, where q' = q (1 - p' / 2) no longer
+    # depends on q, so no F3 exists there; for c > 1/4 it has no root at
+    # all.  Both conversions raise the same error rather than return a value
+    # off by the square root of Newton's tolerance, or one at q ~ 1e8
+    def value(q, pp, t, ep, s):
+        return q[0] * pp[0] - t * ep - c * q[0] * pp[0] ** 2
+
+    F = GeneratingFunction(kind="F2", value=value, n=1)
+    pt = ExtendedPoint(q=(q,), p=(1.0,), t=0.0, e=1.5, s=0.0)
+    args = ((q,), pt.p, pt.t, pt.e, pt.s)
+    for convert in (legendre_convert, _reference_legendre_convert):
+        G = convert(F, "F3")
+        assert _values_or_error(G.value, *args) is error
+        assert _values_or_error(apply_generating, G, pt) is error
 
 
 @pytest.mark.parametrize("kind", ["F3", "F4"])
