@@ -528,11 +528,14 @@ def newton_solve(residual, x0, jacobian=None):
 
     After the primal residual converges, two polishing steps are taken so
     that any dual parts riding along converge to the exact implicit-function
-    derivatives as well.  A root is degenerate, and raises
-    :class:`DegeneracyError`, if its Jacobian is singular relative to its
-    largest entry, or if the second polishing step is not at rounding level:
-    at a double root Newton converges only linearly, and the residual falls
-    below its tolerance while x is still about its square root away.  On
+    derivatives as well: from an x0 at a float root, the call is just the
+    convergence check and those two steps, each of which doubles the number
+    of exact Taylor orders, so orders 1-3 are exact after both.  A root is
+    degenerate, and raises :class:`DegeneracyError`, if its Jacobian is
+    singular relative to its largest entry, or if the second polishing step
+    is not at rounding level: at a double root Newton converges only
+    linearly, and the residual falls below its tolerance while x is still
+    about its square root away.  On
     the way to the root, the Jacobian is singular only relative to its own
     rows and columns (`solve_linear`'s ``equilibrated``): an iterate that
     runs off to a root at infinity, where one unknown dwarfs the others, is
@@ -552,8 +555,10 @@ def newton_solve(residual, x0, jacobian=None):
         r, J = jacobian(x)
         rn = norm(r)
         if rn < _NEWTON_TOL:
-            for _ in range(2):
-                r, J = jacobian(x)
+            # the first polishing step reuses the converged iterate's (r, J)
+            for polish in range(2):
+                if polish:
+                    r, J = jacobian(x)
                 dx = solve_linear(J, [-ri for ri in r])
                 x = [xi + di for xi, di in zip(x, dx)]
             step = norm(dx)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import numkit
 from .errors import DegeneracyError, DegenerateTimeError
-from .numkit import value_of
+from .numkit import Dual, value_of
 from .phase import ExtendedPoint, map_jacobian
 
 # kind -> (unprimed pair, primed pair, whether the unprimed pair fills the
@@ -240,10 +240,17 @@ def legendre_convert(F, target_kind):
 
     The converted value resolves the full transformation configuration from
     its own arguments with one damped Newton solve over 2(n+1) unknowns:
-    the source point's missing pair and F's primed pair.  The residual
-    stacks F's rule at the source point on the mismatch between the image's
-    target-primed pair and the value's own; Newton starts from that pair,
-    and from the primed pair (of F's kind) of the source point it implies.
+    the source point's missing pair and F's primed pair.  The joint
+    residual stacks F's rule at the source point on the mismatch between
+    the image's target-primed pair and the value's own; Newton starts from
+    that pair, and from the primed pair (of F's kind) of the source point it
+    implies.  The solve runs at the primal (`value_of`) arguments, on the
+    kernels of one `numkit.residual_binder` that the converted function
+    keeps.  Only when an argument carries a `Dual` does one more
+    `newton_solve`, on the dual residual, start from that root: it is the
+    convergence check and two polishing steps, which make Taylor orders 1-3
+    of the solution exact, enough for three nested seedings.  Errors come
+    from the float solve, so float and dual arguments raise the same types.
     The source value is then shifted by the appropriate exchange terms.
     Unsolvable exchanges (e.g. the identity map as F1, whose joint Jacobian
     is singular) surface as :class:`DegeneracyError` when the converted
@@ -257,23 +264,35 @@ def legendre_convert(F, target_kind):
     unprimed, primed, first = _LAYOUT[target_kind]
     f_unprimed, f_primed, f_first = _LAYOUT[F.kind]
 
+    def source(known, u, s):
+        return _point(unprimed, known, u, s)
+
+    def joint(params, w):
+        # params: the known pair, the wanted pair and s, flat; w: the source
+        # point's missing pair and F's primed pair
+        known, want, s = params[:m], params[m:2 * m], params[2 * m]
+        src, v = source(known, w[:m], s), w[m:]
+        got = v if primed == f_primed else \
+            _pair(_image(F, _pair(src, f_unprimed), v, s), primed)
+        return _rule_residual(F, _rule_params(F, src), v) \
+            + [g - c for g, c in zip(got, want)]
+
+    bind = numkit.residual_binder(joint, 2 * m + 1, 2 * m)
+
     def converted(x, y, a, b, s):
         # the target's unprimed pair is known; its partner is the unknown
         xa, yb = list(x) + [a], list(y) + [b]
         known, want = (xa, yb) if first else (yb, xa)
-
-        def source(u):
-            return _point(unprimed, known, u, s)
-
-        def residual(w):
-            src, v = source(w[:m]), w[m:]
-            got = v if primed == f_primed else \
-                _pair(_image(F, _pair(src, f_unprimed), v, s), primed)
-            return _rule_residual(F, _rule_params(F, src), v) \
-                + [g - c for g, c in zip(got, want)]
-
-        w = numkit.newton_solve(residual, want + _pair(source(want), f_primed))
-        src, v = source(w[:m]), w[m:]
+        params = known + want + [s]
+        floats = [value_of(v) for v in params]
+        f_want = floats[m:2 * m]
+        start = f_want + _pair(source(floats[:m], f_want, floats[-1]),
+                               f_primed)
+        residual, jacobian = bind(floats)
+        w = numkit.newton_solve(residual, start, jacobian)
+        if any(isinstance(v, Dual) for v in params):
+            w = numkit.newton_solve(partial(joint, params), w)
+        src, v = source(known, w[:m], s), w[m:]
         f_known = _pair(src, f_unprimed)
         img = _image(F, f_known, v, s)
         return F.value(*_blocks(f_first, f_known, v), s) \

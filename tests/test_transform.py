@@ -418,30 +418,40 @@ def test_dual_points_and_untraceable_fs_keep_dual_path(jacobian_calls):
     apply_generating(F, BOOST_PT)
     jacobian_calls.clear()
     # the map Jacobian seeds the point: one seeding for the map, and the
-    # inner solve at the dual point seeds its rule on every iteration
+    # inner solve at the dual point seeds its rule at each of its two
+    # iterations and at its second polishing step (the first reuses the
+    # converged iterate's); the float solve runs on F's kernels
     rep = restriction_report(F, BOOST_PT)
-    assert len(jacobian_calls) >= 5
+    assert len(jacobian_calls) == 4
     assert (rep.hessian_det.hex(), rep.liouville_det.hex()) \
         == ('-0x1.0000000000000p+0', '0x1.0000000000002p+0')
     assert (rep.time_global, rep.spacetime_split, rep.subspace_liouville,
             rep.preserves_H1) == (False, False, False, True)
-    # a value that reads s, a quadrature in the value and a converted F:
-    # no kernels, and the Dual path's seedings in every Newton iteration
+    # a value that reads s, a quadrature in the value and a converted F: no
+    # rule kernels, and the Dual path's seedings in every Newton iteration.
+    # The first two make 4: the rule's Jacobian at both iterations, at the
+    # second polishing step and in the degeneracy check.  The converted F's
+    # rule starts at its root, so it makes 3 (no second iteration).  Those 3
+    # seedings and the image's gradient each call one converted value with
+    # dual arguments: one float joint solve on the converted F's kernels
+    # plus one dual polish, which seeds twice (the convergence check and the
+    # second polishing step).  The first value traces the kernels, with one
+    # seeding over leaves: 3 + 4 * 2 + 1
     timescale = timescale_generating(TimeScaleSpec(xi=lambda t: 1.0 + t))
     converted = legendre_convert(GeneratingFunction(
         kind="F2", value=lambda q, pp, t, ep, s: q[0] * pp[0]
         + 0.5 * q[0] ** 2 - t * ep, n=1), "F3")
-    for G, pt, want in [
-            (_dual_path(F), BOOST_PT, BOOST_IMAGE),
+    for G, pt, want, seedings in [
+            (_dual_path(F), BOOST_PT, BOOST_IMAGE, 4),
             (timescale, ExtendedPoint(q=(1.4,), p=(-0.3,), t=1.0, e=0.7),
              ['0x1.6666666666666p+0', '-0x1.3333333333333p-2',
-              '0x1.62e42fefa39eep-1', '0x1.6666666666667p+0']),
+              '0x1.62e42fefa39eep-1', '0x1.6666666666667p+0'], 4),
             (converted, PT,
              ['0x1.4cccccccccccdp+0', '-0x1.0000000000000p+1',
-              '0x1.999999999999ap-2', '0x1.ccccccccccccdp-1'])]:
+              '0x1.999999999999ap-2', '0x1.ccccccccccccdp-1'], 12)]:
         jacobian_calls.clear()
         assert _image_hexes(apply_generating(G, pt)) == want
-        assert len(jacobian_calls) >= 5
+        assert len(jacobian_calls) == seedings
 
 
 def test_rule_kernels_are_freed_with_f():
@@ -458,9 +468,10 @@ def test_rule_kernels_are_freed_with_f():
 
 
 # ---------------------------------------------------------------------------
-# legendre_convert: one joint Newton solve per converted value, against the
-# nested solve it replaced (Newton over the source point's missing pair,
-# with a full `_apply` of F in every residual evaluation)
+# legendre_convert: one joint Newton solve per converted value, on floats,
+# then one dual polish when an argument is dual; against the nested solve it
+# replaced (Newton over the source point's missing pair, with a full
+# `_apply` of F in every residual evaluation)
 # ---------------------------------------------------------------------------
 
 
@@ -591,8 +602,10 @@ def test_identity_as_f1_stays_degenerate(n):
 
 
 def test_converted_apply_solves_once_per_value(monkeypatch):
-    # every converted value is one joint Newton solve; the nested solve it
-    # replaced made 50 for this apply, the F2 itself makes 1
+    # one Newton solve of the converted F's rule, and six converted values
+    # under its seeds (four rule evaluations, the degeneracy check and the
+    # image's gradient), each one float joint solve plus one dual polish:
+    # 1 + 6 * 2; the nested solve it replaced made 50, the F2 itself makes 1
     solves = []
     newton_solve = numkit.newton_solve
 
@@ -604,16 +617,20 @@ def test_converted_apply_solves_once_per_value(monkeypatch):
     G = legendre_convert(F, "F3")
     monkeypatch.setattr(numkit, "newton_solve", counted)
     img = apply_generating(G, BOOST_PT)
-    assert len(solves) <= 12
+    assert len(solves) == 13
     assert [value_of(v) for v in (*img.q, *img.p, img.t, img.e)] \
         == pytest.approx([float.fromhex(h) for h in BOOST_IMAGE], abs=1e-12)
 
 
-def test_aborted_rule_trace_skips_the_jacobian_trace(monkeypatch):
-    # a converted F does not trace: its value's trace aborts inside a
-    # converted value's Newton solve over leaves, and the rule's Jacobian is
-    # then not traced, which would start one more; a repeat apply reads the
-    # cached None and makes only the image's solves
+def test_aborted_rule_trace_skips_the_jacobian_trace(monkeypatch,
+                                                    jacobian_calls):
+    # a converted F's rule does not trace: the trace of its value aborts at
+    # the converted value's first value_of, before any solve, so both
+    # applies make the same 13 solves, one for the rule and, for each of the
+    # six converted values, one float joint solve plus one dual polish.  The
+    # rule's Jacobian is then not traced, which would seed once more over
+    # leaves: the first apply seeds only once more than a repeat, when the
+    # first converted value traces the joint Jacobian kernel
     solves = []
     newton_solve = numkit.newton_solve
 
@@ -623,11 +640,13 @@ def test_aborted_rule_trace_skips_the_jacobian_trace(monkeypatch):
 
     G = legendre_convert(lorentz_generating(Boost(beta=(0.6, 0.2, 0.0))), "F3")
     monkeypatch.setattr(numkit, "newton_solve", counted)
+    jacobian_calls.clear()
     apply_generating(G, BOOST_PT)
-    assert len(solves) == 9
+    assert (len(solves), len(jacobian_calls)) == (13, 17)
     solves.clear()
+    jacobian_calls.clear()
     apply_generating(G, BOOST_PT)
-    assert len(solves) == 8
+    assert (len(solves), len(jacobian_calls)) == (13, 16)
 
 
 def test_converted_restriction_report_matches_source():
@@ -642,3 +661,83 @@ def test_converted_restriction_report_matches_source():
                                   ref.subspace_liouville, ref.preserves_H1)
     assert abs(rep.liouville_det - 1.0) <= 1e-12
     assert abs(abs(rep.hessian_det) - 1.0) <= 1e-12
+
+
+def test_float_converted_values_run_on_kernels(monkeypatch, jacobian_calls):
+    # a float converted value solves on the kernels of the converted F's
+    # binder: the first call traces them (one Jacobian seeding, over
+    # leaves), a repeat's solve seeds no Jacobian, and the values keep the
+    # bits of the joint solve in duals; the kernels are freed with the
+    # converted F
+    traced = []
+    trace = numkit.trace
+
+    def recorded(fn, m):
+        kernel = trace(fn, m)
+        traced.append(weakref.ref(kernel))
+        return kernel
+
+    monkeypatch.setattr(numkit, "trace", recorded)
+    G = legendre_convert(lorentz_generating(Boost(beta=(0.6, 0.2, 0.0))), "F3")
+    cases = [(((0.3, -0.2, 0.5), (0.1, 0.4, -0.3), 0.25, 1.1, 0.0),
+              '0x1.63877d8bb027bp-1'),
+             (((0.1, 0.2, -0.3), (0.5, -0.1, 0.2), 0.7, 1.3, 0.0),
+              '0x1.19671e2a8ec44p+0')]
+    jacobian_calls.clear()
+    assert G.value(*cases[0][0]).hex() == cases[0][1]
+    assert len(jacobian_calls) == 1
+    assert [ref().__name__ for ref in traced] == ["kernel", "kernel"]
+    jacobian_calls.clear()
+    for args, want in cases * 2:
+        assert G.value(*args).hex() == want
+    assert jacobian_calls == []
+    del G
+    gc.collect()
+    assert all(ref() is None for ref in traced)
+
+
+def test_converted_derivatives_through_depth_three():
+    # F2 = q.p' - t e' + g(p', e', s) maps q' = q + dg/dp', t' = t - dg/de',
+    # p = p', e = e', so its F3 is g(p, e, s) - q'.p + t' e in closed form.
+    # Two polishing steps from the float root make the converted value's
+    # Taylor orders 1-3 exact: its gradient, its Hessian (nested seedings)
+    # and a third derivative along a line (three nested seedings)
+    sympy = pytest.importorskip("sympy")
+
+    def g(p, e, s):
+        return 0.3 * p[0] ** 3 + 0.2 * p[0] ** 2 * p[1] * e \
+            - 0.15 * e ** 3 + 0.25 * p[1] * e * s + 0.1 * p[0] * p[1] ** 2
+
+    def value(q, pp, t, ep, s):
+        return q[0] * pp[0] + q[1] * pp[1] - t * ep + g(pp, ep, s)
+
+    G = legendre_convert(GeneratingFunction(kind="F2", value=value, n=2), "F3")
+    sym = sympy.symbols("qp0 qp1 p0 p1 tp e s")
+    closed = g(sym[2:4], sym[5], sym[6]) - sym[0] * sym[2] \
+        - sym[1] * sym[3] + sym[4] * sym[5]
+    x0 = [0.4, -0.3, 0.7, 0.5, 0.2, 1.3, 0.6]
+    at = dict(zip(sym, x0))
+
+    def converted(x):
+        return G.value(x[0:2], x[2:4], x[4], x[5], x[6])
+
+    def approx(want):
+        return pytest.approx([float(w) for w in want], rel=1e-12, abs=1e-12)
+
+    grad = [sympy.diff(closed, v) for v in sym]
+    val, got = numkit.grad_raw(converted, x0)
+    assert [value_of(v) for v in [val, *got]] \
+        == approx([closed.subs(at)] + [d.subs(at) for d in grad])
+    _, rows = numkit.jacobian_raw(
+        lambda x: numkit.grad_raw(converted, x)[1], x0)
+    assert [value_of(v) for row in rows for v in row] \
+        == approx([sympy.diff(d, v).subs(at) for d in grad for v in sym])
+    direction = [0.5, -1.0, 1.0, 0.8, -0.4, 0.6, 0.3]
+    lam = sympy.Symbol("lam")
+    line = closed.subs({v: v + c * lam for v, c in zip(sym, direction)},
+                       simultaneous=True)
+    got = numkit.time_derivatives(
+        lambda h: converted([v + c * h for v, c in zip(x0, direction)]),
+        0.0, 3)
+    assert [value_of(v) for v in got] == approx(
+        [sympy.diff(line, lam, k).subs(at).subs(lam, 0) for k in range(4)])
