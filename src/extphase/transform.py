@@ -16,12 +16,14 @@ for the primed pair.
 All value callables must use the generic arithmetic of
 :mod:`extphase.numkit` so the implicit transformation rules can be solved
 and differentiated by dual seeding, and must be pure functions of their
-arguments: a float solve runs on kernels traced once per F.
+arguments: a float solve runs on kernels traced once per F.  A
+`legendre_convert`-ed F at float arguments seeds nothing either: its
+gradient and mixed Hessian are read off its joint root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -63,6 +65,39 @@ class GeneratingFunction:
         m = self.n + 1
         return numkit.residual_binder(partial(_rule_residual, self),
                                       2 * m + 1, m)
+
+
+def _floats(values):
+    return all(isinstance(v, (int, float)) for v in values)
+
+
+@dataclass(frozen=True)
+class _Converted(GeneratingFunction):
+    """A `legendre_convert`-ed F.  At float params (its unprimed pair, its
+    primed pair and s, flat), `_derivatives(params)` is (dV/d(unprimed),
+    dV/d(primed), d^2 V / d(unprimed) d(primed)) of its value V, read off
+    the joint root; its pair gradients and its rule at float arguments run
+    on them and seed no value."""
+
+    _derivatives: object = field(repr=False, compare=False)
+
+    @cached_property
+    def _bind_rule(self):
+        dual = GeneratingFunction._bind_rule.func(self)
+        m = self.n + 1
+
+        def bind(params):
+            if not _floats(params):
+                return dual(params)
+            known, momenta, s = params[:m], params[m:2 * m], params[2 * m]
+
+            def jacobian(u):
+                grad, _, hessian = self._derivatives([*known, *u, s])
+                return [g - w for g, w in zip(grad, momenta)], hessian
+
+            return (lambda u: jacobian(u)[0]), jacobian
+
+        return bind
 
 
 @dataclass(frozen=True)
@@ -115,7 +150,10 @@ def _blocks(first, unprimed, primed):
 
 
 def _pair_gradient(F, first, unprimed, primed, s, wrt_primed):
-    """dF/d(primed pair) or dF/d(unprimed pair), seeding only that pair."""
+    """dF/d(primed pair) or dF/d(unprimed pair), seeding only that pair; a
+    converted F at float arguments seeds nothing."""
+    if isinstance(F, _Converted) and _floats([*unprimed, *primed, s]):
+        return F._derivatives([*unprimed, *primed, s])[1 if wrt_primed else 0]
 
     def f(v):
         if wrt_primed:
@@ -252,6 +290,17 @@ def legendre_convert(F, target_kind):
     of the solution exact, enough for three nested seedings.  Errors come
     from the float solve, so float and dual arguments raise the same types.
     The source value is then shifted by the appropriate exchange terms.
+
+    At float arguments the converted function's derivatives come from the
+    joint root w without seeding its value.  By the envelope theorem its
+    gradient in its unprimed and primed pairs is the momenta conjugate to
+    them in the configuration at w.  Its mixed Hessian follows by the
+    implicit-function theorem: the joint residual is linear in the wanted
+    pair, so dw/d(wanted) = J_w^-1 [0; I], one LU solve of the joint
+    Jacobian at w.  The rule residual, its Jacobian and the image's
+    gradient take them, so a float `apply_generating`, `hessian_det` and
+    `restriction_report`'s float solve seed no converted value; dual
+    arguments and dual points keep the solve plus dual polish above.
     Unsolvable exchanges (e.g. the identity map as F1, whose joint Jacobian
     is singular) surface as :class:`DegeneracyError` when the converted
     function is evaluated or applied.
@@ -279,11 +328,9 @@ def legendre_convert(F, target_kind):
 
     bind = numkit.residual_binder(joint, 2 * m + 1, 2 * m)
 
-    def converted(x, y, a, b, s):
-        # the target's unprimed pair is known; its partner is the unknown
-        xa, yb = list(x) + [a], list(y) + [b]
-        known, want = (xa, yb) if first else (yb, xa)
-        params = known + want + [s]
+    def solve(params):
+        # the joint root: a float solve on the binder's kernels at the
+        # primal params, then one dual polish if any of them is dual
         floats = [value_of(v) for v in params]
         f_want = floats[m:2 * m]
         start = f_want + _pair(source(floats[:m], f_want, floats[-1]),
@@ -292,13 +339,41 @@ def legendre_convert(F, target_kind):
         w = numkit.newton_solve(residual, start, jacobian)
         if any(isinstance(v, Dual) for v in params):
             w = numkit.newton_solve(partial(joint, params), w)
-        src, v = source(known, w[:m], s), w[m:]
-        f_known = _pair(src, f_unprimed)
-        img = _image(F, f_known, v, s)
-        return F.value(*_blocks(f_first, f_known, v), s) \
+        return w
+
+    def configuration(params, w):
+        # the source point and its image at the joint unknowns w
+        s = params[2 * m]
+        src = source(params[:m], w[:m], s)
+        return src, _image(F, _pair(src, f_unprimed), w[m:], s)
+
+    def converted(x, y, a, b, s):
+        # the target's unprimed pair is known; its partner is the unknown
+        xa, yb = list(x) + [a], list(y) + [b]
+        known, want = (xa, yb) if first else (yb, xa)
+        params = known + want + [s]
+        w = solve(params)
+        src, img = configuration(params, w)
+        return F.value(*_blocks(f_first, _pair(src, f_unprimed), w[m:]), s) \
             - _extra(F.kind, src, img) + _extra(target_kind, src, img)
 
-    return GeneratingFunction(kind=target_kind, value=converted, n=n)
+    sign = np.array(_flip(unprimed, [1.0] * m))[:, None]
+
+    def derivatives(params):
+        # V's first derivatives are the momenta conjugate to its pairs at the
+        # root (envelope theorem), the known pair's being w[:m] flipped.
+        # joint is linear in the wanted pair (d joint / d want = [0; -I]), so
+        # by the implicit-function theorem dw / d want = J_w^-1 [0; I]
+        w = solve(params)
+        _, img = configuration(params, w)
+        _, jacobian = bind(params)
+        dw = np.linalg.solve(np.array(jacobian(w)[1]), np.eye(2 * m)[:, m:])
+        return (_flip(unprimed, w[:m]),
+                [-g for g in _flip(primed, _pair(img, _PARTNER[primed]))],
+                (sign * dw[:m]).tolist())
+
+    return _Converted(kind=target_kind, value=converted, n=n,
+                      _derivatives=derivatives)
 
 
 def embed_conventional(f2, n):

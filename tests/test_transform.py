@@ -19,7 +19,7 @@ from extphase.phase import (ExtendedPoint, HamiltonianSystem, map_jacobian,
                             symplectic_residual)
 from extphase.relativity import Boost, lorentz_generating
 from extphase.transform import (_LAYOUT, KINDS, GeneratingFunction,
-                                _apply, _extra, _pair, _point,
+                                _apply, _blocks, _extra, _pair, _point,
                                 apply_generating, embed_conventional,
                                 extended_identity, hessian_det,
                                 legendre_convert, restriction_report,
@@ -427,16 +427,14 @@ def test_dual_points_and_untraceable_fs_keep_dual_path(jacobian_calls):
         == ('-0x1.0000000000000p+0', '0x1.0000000000002p+0')
     assert (rep.time_global, rep.spacetime_split, rep.subspace_liouville,
             rep.preserves_H1) == (False, False, False, True)
-    # a value that reads s, a quadrature in the value and a converted F: no
-    # rule kernels, and the Dual path's seedings in every Newton iteration.
-    # The first two make 4: the rule's Jacobian at both iterations, at the
-    # second polishing step and in the degeneracy check.  The converted F's
-    # rule starts at its root, so it makes 3 (no second iteration).  Those 3
-    # seedings and the image's gradient each call one converted value with
-    # dual arguments: one float joint solve on the converted F's kernels
-    # plus one dual polish, which seeds twice (the convergence check and the
-    # second polishing step).  The first value traces the kernels, with one
-    # seeding over leaves: 3 + 4 * 2 + 1
+    # a value that reads s and a quadrature in the value: no rule kernels,
+    # and the Dual path's seedings in every Newton iteration, 4: the rule's
+    # Jacobian at both iterations, at the second polishing step and in the
+    # degeneracy check.  A converted F at a float point seeds none of its
+    # values: its rule, the degeneracy check and the image's gradient read
+    # its derivatives off float joint solves on the converted F's kernels,
+    # so it seeds once, when the first of them traces the joint Jacobian
+    # kernel over leaves
     timescale = timescale_generating(TimeScaleSpec(xi=lambda t: 1.0 + t))
     converted = legendre_convert(GeneratingFunction(
         kind="F2", value=lambda q, pp, t, ep, s: q[0] * pp[0]
@@ -448,7 +446,7 @@ def test_dual_points_and_untraceable_fs_keep_dual_path(jacobian_calls):
               '0x1.62e42fefa39eep-1', '0x1.6666666666667p+0'], 4),
             (converted, PT,
              ['0x1.4cccccccccccdp+0', '-0x1.0000000000000p+1',
-              '0x1.999999999999ap-2', '0x1.ccccccccccccdp-1'], 12)]:
+              '0x1.999999999999ap-2', '0x1.ccccccccccccdp-1'], 1)]:
         jacobian_calls.clear()
         assert _image_hexes(apply_generating(G, pt)) == want
         assert len(jacobian_calls) == seedings
@@ -555,6 +553,58 @@ def test_legendre_convert_matches_nested_reference(case):
             assert got == want
 
 
+def _terms_gradient(variables, terms):
+    """The gradient of the sum of the terms c * prod(v ** k) over the
+    variables, in closed form."""
+    grad = [0.0] * len(variables)
+    for c, powers in terms:
+        for i, k in enumerate(powers):
+            if k:
+                grad[i] += c * k * math.prod(
+                    v ** (kj - (j == i))
+                    for j, (v, kj) in enumerate(zip(variables, powers)))
+    return grad
+
+
+@st.composite
+def _closed_form_cases(draw):
+    """The extended identity F2 plus small polynomial terms in (p', e', s)
+    only, and a point."""
+    n = draw(st.integers(1, 3))
+    terms = draw(st.lists(
+        st.tuples(st.floats(min_value=-0.3, max_value=0.3, allow_nan=False),
+                  st.lists(st.integers(0, 2), min_size=n + 2,
+                           max_size=n + 2)),
+        max_size=4))
+    vals = draw(st.lists(_unit, min_size=2 * n + 3, max_size=2 * n + 3))
+    pt = ExtendedPoint(q=tuple(vals[:n]), p=tuple(vals[n:2 * n]),
+                       t=vals[2 * n], e=vals[2 * n + 1] + 1.5,
+                       s=vals[2 * n + 2])
+    return terms, pt
+
+
+@given(_closed_form_cases())
+@settings(max_examples=30, deadline=None)
+def test_converted_apply_matches_closed_form(case):
+    # F2 = q.p' - t e' + g(p', e', s) maps (q, p, t, e) to
+    # (q + dg/dp', p, t - dg/de', e) at p' = p, e' = e: a reference for
+    # applying its F3 that needs no Newton solve
+    terms, pt = case
+    n = pt.n
+    identity = extended_identity(n).value
+
+    def value(q, pp, t, ep, s):
+        return _add_terms(identity(q, pp, t, ep, s), [*pp, ep, s], terms)
+
+    G = legendre_convert(GeneratingFunction(kind="F2", value=value, n=n), "F3")
+    dg = _terms_gradient([*pt.p, pt.e, pt.s], terms)
+    want = [q + d for q, d in zip(pt.q, dg[:n])] + list(pt.p) \
+        + [pt.t - dg[n], pt.e]
+    img = apply_generating(G, pt)
+    assert [value_of(v) for v in (*img.q, *img.p, img.t, img.e)] \
+        == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("c, q, error", [
     (0.25, 0.0, DegeneracyError),
     (0.25, 1.0, DegeneracyError),
@@ -602,10 +652,12 @@ def test_identity_as_f1_stays_degenerate(n):
 
 
 def test_converted_apply_solves_once_per_value(monkeypatch):
-    # one Newton solve of the converted F's rule, and six converted values
-    # under its seeds (four rule evaluations, the degeneracy check and the
-    # image's gradient), each one float joint solve plus one dual polish:
-    # 1 + 6 * 2; the nested solve it replaced made 50, the F2 itself makes 1
+    # one Newton solve of the converted F's rule, and one float joint solve
+    # for each of the six times the apply reads the converted value's
+    # derivatives off its root (four rule evaluations, the degeneracy check
+    # and the image's gradient), with no dual polish: 1 + 6.  Seeding the
+    # converted values made 13, the nested solve before that 50, and the F2
+    # itself makes 1
     solves = []
     newton_solve = numkit.newton_solve
 
@@ -617,20 +669,20 @@ def test_converted_apply_solves_once_per_value(monkeypatch):
     G = legendre_convert(F, "F3")
     monkeypatch.setattr(numkit, "newton_solve", counted)
     img = apply_generating(G, BOOST_PT)
-    assert len(solves) == 13
+    assert len(solves) == 7
     assert [value_of(v) for v in (*img.q, *img.p, img.t, img.e)] \
         == pytest.approx([float.fromhex(h) for h in BOOST_IMAGE], abs=1e-12)
 
 
 def test_aborted_rule_trace_skips_the_jacobian_trace(monkeypatch,
                                                     jacobian_calls):
-    # a converted F's rule does not trace: the trace of its value aborts at
-    # the converted value's first value_of, before any solve, so both
-    # applies make the same 13 solves, one for the rule and, for each of the
-    # six converted values, one float joint solve plus one dual polish.  The
-    # rule's Jacobian is then not traced, which would seed once more over
-    # leaves: the first apply seeds only once more than a repeat, when the
-    # first converted value traces the joint Jacobian kernel
+    # a converted F's rule at a float point is never traced, neither its
+    # value nor its Jacobian: it runs on the converted F's derivatives, read
+    # off float joint solves.  Both applies make the same 7 solves, one for
+    # the rule and one joint solve for each of the six reads of the
+    # derivatives.  The first apply seeds once, when its first joint solve
+    # traces the joint Jacobian kernel over leaves, and a repeat seeds
+    # nothing
     solves = []
     newton_solve = numkit.newton_solve
 
@@ -642,11 +694,11 @@ def test_aborted_rule_trace_skips_the_jacobian_trace(monkeypatch,
     monkeypatch.setattr(numkit, "newton_solve", counted)
     jacobian_calls.clear()
     apply_generating(G, BOOST_PT)
-    assert (len(solves), len(jacobian_calls)) == (13, 17)
+    assert (len(solves), len(jacobian_calls)) == (7, 1)
     solves.clear()
     jacobian_calls.clear()
     apply_generating(G, BOOST_PT)
-    assert (len(solves), len(jacobian_calls)) == (13, 16)
+    assert (len(solves), len(jacobian_calls)) == (7, 0)
 
 
 def test_converted_restriction_report_matches_source():
@@ -741,3 +793,64 @@ def test_converted_derivatives_through_depth_three():
         0.0, 3)
     assert [value_of(v) for v in got] == approx(
         [sympy.diff(line, lam, k).subs(at).subs(lam, 0) for k in range(4)])
+
+
+def shear_f2(n):
+    """F2 = q.p' + |q|^2 / 2 - t e' - t^2 / 2, inducing p' = p - q,
+    e' = e - t: it has an F3 and an F4 as well."""
+
+    def value(q, pp, t, ep, s):
+        return sum(a * b + 0.5 * a * a for a, b in zip(q, pp)) \
+            - t * ep - 0.5 * t * t
+
+    return GeneratingFunction(kind="F2", value=value, n=n)
+
+
+@st.composite
+def _conversion_cases(draw):
+    """A converted F: a map that has an F of both kinds, plus small
+    polynomial terms; and float arguments (unprimed pair, primed pair, s) of
+    the target kind."""
+    n = draw(st.integers(1, 3))
+    target, source = draw(st.sampled_from([
+        ("F3", extended_identity(n)), ("F4", shear_f2(n)),
+        ("F1", swap_f4(n))]))
+    m = 2 * n + 3
+    terms = draw(st.lists(
+        st.tuples(st.floats(min_value=-0.2, max_value=0.2, allow_nan=False),
+                  st.lists(st.integers(0, 2), min_size=m, max_size=m)),
+        max_size=3))
+
+    def value(x, y, a, b, s):
+        return _add_terms(source.value(x, y, a, b, s), [*x, *y, a, b, s],
+                          terms)
+
+    F = GeneratingFunction(kind=source.kind, value=value, n=n)
+    return legendre_convert(F, target), draw(
+        st.lists(_unit, min_size=m, max_size=m))
+
+
+@given(_conversion_cases())
+@settings(max_examples=20, deadline=None)
+def test_converted_float_derivatives_match_seeded_values(case):
+    # a converted F's float first derivatives are the momenta conjugate to
+    # its pairs at the joint root (envelope theorem), and its mixed second
+    # derivatives come from the joint Jacobian there (implicit-function
+    # theorem): they match seeding the value, once for the gradient and
+    # nested for the Hessian
+    G, params = case
+    m = G.n + 1
+    first = _LAYOUT[G.kind][2]
+
+    def value(z):
+        return G.value(*_blocks(first, z[:m], z[m:2 * m]), z[2 * m])
+
+    d_unprimed, d_primed, hessian = G._derivatives(params)
+    _, grad = numkit.grad_raw(value, params)
+    assert d_unprimed + d_primed == pytest.approx(
+        [value_of(g) for g in grad[:2 * m]], rel=1e-14, abs=1e-14)
+    _, rows = numkit.jacobian_raw(lambda z: numkit.grad_raw(value, z)[1],
+                                  params)
+    assert [h for row in hessian for h in row] == pytest.approx(
+        [value_of(v) for row in rows[:m] for v in row[m:2 * m]],
+        rel=1e-12, abs=1e-12)
