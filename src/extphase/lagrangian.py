@@ -105,8 +105,8 @@ def paired_hamiltonian(sys: LagrangianSystem) -> HamiltonianSystem:
     the qdot solving p = dL/dqdot (damped Newton, seeded by p).
 
     The residual's `numkit.residual_binder` belongs to H: at a float
-    (q, p, t) the solve runs on kernels traced on the first such call and
-    kept as long as H (the Dual path if L does not trace).
+    (q, p, t) the solve runs on one kernel traced on the first such call
+    and kept as long as H (the Dual path if L does not trace).
     """
     n = sys.n
 
@@ -119,9 +119,8 @@ def paired_hamiltonian(sys: LagrangianSystem) -> HamiltonianSystem:
     bind = numkit.residual_binder(residual, 2 * n + 1, n)
 
     def H(q, p, t):
-        mismatch, jacobian = bind([*q, *p, t])
-        qdot = numkit.newton_solve(mismatch, [value_of(pi) for pi in p],
-                                   jacobian)
+        qdot = numkit.newton_solve(None, [value_of(pi) for pi in p],
+                                   bind([*q, *p, t]))
         return sum(a * b for a, b in zip(p, qdot)) - sys.L(q, tuple(qdot), t)
 
     return HamiltonianSystem(n=n, H=H, description="Legendre pair")

@@ -435,37 +435,29 @@ def trace(fn, m):
 
 
 def residual_binder(res, k, m):
-    """bind(params) -> (residual, jacobian) for `newton_solve`: u ->
-    res(params, u) and u -> jacobian_raw of it at u, for a residual res of
-    m unknowns u with k parameters.
+    """bind(params) -> jacobian for `newton_solve`: u -> (res(params, u),
+    its Jacobian in u), by `jacobian_raw`, for a residual res of m unknowns
+    u with k parameters.
 
-    At all-float params both run on kernels traced over the flat
-    (params.., u..) on the first such call and kept in the binder, so they
-    live as long as it does; the unknowns must then be floats too.  Both
-    are needed: the Jacobian kernel's values come from seeded duals, whose
-    primal divides as ``a * (1.0 / b)``, so they need not match the plain
-    residual's bits.  A trace that aborts leaves the Dual code in its place,
-    as `trace` does, and the Jacobian is not traced once the value's trace
-    has aborted.  Dual params keep the Dual code.  res must be a pure
-    function of its arguments.
+    At all-float params it runs on one kernel traced over the flat
+    (params.., u..) on the first such call and kept in the binder, so it
+    lives as long as the binder does; the unknowns must then be floats too.
+    A trace that aborts leaves the Dual code in its place, as `trace` does.
+    Dual params keep the Dual code.  res must be a pure function of its
+    arguments.
     """
-    def value(x):
-        return res(x[:k], x[k:])
-
     def jacobian(x):
         return jacobian_raw(lambda u: res(x[:k], u), x[k:])
 
-    kernels = []
+    kernel = []
 
     def bind(params):
-        f, J = value, jacobian
+        J = jacobian
         if all(isinstance(v, _SCALARS) for v in params):
-            if not kernels:
-                kernels.append(trace(value, k + m))
-                kernels.append(jacobian if kernels[0] is value
-                               else trace(jacobian, k + m))
-            f, J = kernels
-        return lambda u: f([*params, *u]), lambda u: J([*params, *u])
+            if not kernel:
+                kernel.append(trace(jacobian, k + m))
+            J = kernel[0]
+        return lambda u: J([*params, *u])
 
     return bind
 
@@ -539,9 +531,13 @@ def newton_solve(residual, x0, jacobian=None):
     the way to the root, the Jacobian is singular only relative to its own
     rows and columns (`solve_linear`'s ``equilibrated``): an iterate that
     runs off to a root at infinity, where one unknown dwarfs the others, is
-    a failed solve, not a degenerate one.  Each (r, J) comes from
-    jacobian(x), by default ``jacobian_raw(residual, x)``; a
-    `residual_binder` pair passes its own.
+    a failed solve, not a degenerate one.
+
+    Each (r, J) comes from jacobian(x), by default
+    ``jacobian_raw(residual, x)``; a `residual_binder` passes its own, and
+    residual is then not read.  The line search evaluates (r, J) at each
+    trial point and hands the accepted one to the next iteration, so no
+    point is evaluated twice.
     """
     if jacobian is None:
         def jacobian(x):
@@ -551,8 +547,8 @@ def newton_solve(residual, x0, jacobian=None):
         return max((abs(value_of(ri)) for ri in r), default=0.0)
 
     x = list(x0)
+    r, J = jacobian(x)
     for _ in range(_NEWTON_MAX_ITER):
-        r, J = jacobian(x)
         rn = norm(r)
         if rn < _NEWTON_TOL:
             # the first polishing step reuses the converged iterate's (r, J)
@@ -567,15 +563,18 @@ def newton_solve(residual, x0, jacobian=None):
                     f"Newton polishing step {step:.3e} at a singular root")
             return x
         dx = solve_linear(J, [-ri for ri in r], equilibrated=True)
-        lam = 1.0
+        lam, full = 1.0, None
         for _ in range(8):
             trial = [xi + lam * di for xi, di in zip(x, dx)]
-            if norm(residual(trial)) < rn:
-                x = trial
+            rJ = jacobian(trial)
+            full = full or (trial, rJ)
+            if norm(rJ[0]) < rn:
                 break
             lam *= 0.5
         else:
-            x = [xi + di for xi, di in zip(x, dx)]
+            # no trial decreased the residual: take the full step
+            trial, rJ = full
+        x, (r, J) = trial, rJ
     raise ImplicitSolveError(
         f"Newton iteration did not converge within {_NEWTON_MAX_ITER} steps")
 
@@ -593,10 +592,15 @@ def quad_fixed(f, a, b):
 
     Fixed nodes (no adaptivity) keep the result a smooth, dual-differentiable
     function of the endpoints; accuracy is machine-level for the smooth
-    integrands used here.
+    integrands used here.  An interval whose length is not finite (an
+    endpoint at inf or nan) raises :class:`DomainEvaluationError`.
     """
+    span = abs(value_of(b) - value_of(a))
+    if not math.isfinite(span):
+        raise DomainEvaluationError(
+            f"non-finite quadrature interval [{value_of(a)}, {value_of(b)}]")
     nodes, weights = _gauss_legendre_10()
-    panels = max(4, min(64, int(2.0 * abs(value_of(b) - value_of(a))) + 4))
+    panels = max(4, min(64, int(2.0 * span) + 4))
     width = (b - a) / panels
     half = width * 0.5
     total = 0.0

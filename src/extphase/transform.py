@@ -13,12 +13,17 @@ One rule set serves all four kinds: dF/d(q, t) = (p, -e) and
 dF/d(p, e) = (-q, t) for the unprimed pair, and the same with a minus sign
 for the primed pair.
 
+Every use of F reads one derivative source, `GeneratingFunction._derivatives`:
+its gradient in both pairs and its mixed Hessian, from one nested seeding.
+The rule residual and its Jacobian, the image and the degeneracy check all
+come from it.
+
 All value callables must use the generic arithmetic of
 :mod:`extphase.numkit` so the implicit transformation rules can be solved
 and differentiated by dual seeding, and must be pure functions of their
-arguments: a float solve runs on kernels traced once per F.  A
-`legendre_convert`-ed F at float arguments seeds nothing either: its
-gradient and mixed Hessian are read off its joint root.
+arguments: at float arguments the derivatives run on one kernel traced
+once per F.  A `legendre_convert`-ed F at float arguments seeds nothing
+either: its derivatives are read off its joint root.
 """
 
 from __future__ import annotations
@@ -58,13 +63,32 @@ class GeneratingFunction:
     def __call__(self, x, y, a, b, s=0.0):
         return self.value(x, y, a, b, s)
 
+    def _derivatives(self, params):
+        """(dF/d(unprimed pair), dF/d(primed pair), d^2 F / d(unprimed)
+        d(primed)) at params, the two pairs of F's kind and s, flat.  At
+        float params they run on the kernel F keeps."""
+        if _floats(params):
+            return self._kernel(params)
+        return self._seeded(params)
+
     @cached_property
-    def _bind_rule(self):
-        """The `numkit.residual_binder` of F's rule residual: its traced
-        kernels live as long as F."""
-        m = self.n + 1
-        return numkit.residual_binder(partial(_rule_residual, self),
-                                      2 * m + 1, m)
+    def _kernel(self):
+        """`_seeded` traced once: the kernel lives as long as F."""
+        return numkit.trace(self._seeded, 2 * self.n + 3)
+
+    def _seeded(self, params):
+        # one nested seeding, the primed pair outside: the inner gradient's
+        # value carries dF/d(primed), its entries the mixed Hessian's rows
+        m, first = self.n + 1, _LAYOUT[self.kind][2]
+        unprimed, s = params[:m], params[2 * m]
+
+        def gradient(v):
+            value, dU = numkit.grad_raw(
+                lambda w: self.value(*_blocks(first, w, v), s), unprimed)
+            return [value, *dU]
+
+        values, rows = numkit.jacobian_raw(gradient, params[m:2 * m])
+        return values[1:], rows[0], rows[1:]
 
 
 def _floats(values):
@@ -73,31 +97,11 @@ def _floats(values):
 
 @dataclass(frozen=True)
 class _Converted(GeneratingFunction):
-    """A `legendre_convert`-ed F.  At float params (its unprimed pair, its
-    primed pair and s, flat), `_derivatives(params)` is (dV/d(unprimed),
-    dV/d(primed), d^2 V / d(unprimed) d(primed)) of its value V, read off
-    the joint root; its pair gradients and its rule at float arguments run
-    on them and seed no value."""
+    """A `legendre_convert`-ed F: in place of a traced kernel, its
+    derivatives at float params are read off its joint root and seed no
+    value."""
 
-    _derivatives: object = field(repr=False, compare=False)
-
-    @cached_property
-    def _bind_rule(self):
-        dual = GeneratingFunction._bind_rule.func(self)
-        m = self.n + 1
-
-        def bind(params):
-            if not _floats(params):
-                return dual(params)
-            known, momenta, s = params[:m], params[m:2 * m], params[2 * m]
-
-            def jacobian(u):
-                grad, _, hessian = self._derivatives([*known, *u, s])
-                return [g - w for g, w in zip(grad, momenta)], hessian
-
-            return (lambda u: jacobian(u)[0]), jacobian
-
-        return bind
+    _kernel: object = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -149,91 +153,67 @@ def _blocks(first, unprimed, primed):
     return xa[:-1], yb[:-1], xa[-1], yb[-1]
 
 
-def _pair_gradient(F, first, unprimed, primed, s, wrt_primed):
-    """dF/d(primed pair) or dF/d(unprimed pair), seeding only that pair; a
-    converted F at float arguments seeds nothing."""
-    if isinstance(F, _Converted) and _floats([*unprimed, *primed, s]):
-        return F._derivatives([*unprimed, *primed, s])[1 if wrt_primed else 0]
-
-    def f(v):
-        if wrt_primed:
-            return F.value(*_blocks(first, unprimed, v), s)
-        return F.value(*_blocks(first, v, primed), s)
-
-    return numkit.grad_raw(f, primed if wrt_primed else unprimed)[1]
+def _momenta(pt, name):
+    """The momenta conjugate to pt's `name` pair."""
+    return _flip(name, _pair(pt, _PARTNER[name]))
 
 
-def _rule_residual(F, x, u):
-    """dF/d(unprimed pair) minus the momenta conjugate to the point's
-    unprimed pair, at the image's primed pair u; x is the point's unprimed
-    pair, those momenta and s, flat."""
-    m = F.n + 1
-    dU = _pair_gradient(F, _LAYOUT[F.kind][2], x[:m], u, x[2 * m],
-                        wrt_primed=False)
-    return [g - w for g, w in zip(dU, x[m:2 * m])]
-
-
-def _rule_params(F, pt):
-    """`_rule_residual`'s x at pt: the unprimed pair of F's kind, the
-    momenta conjugate to it and s."""
-    unprimed = _LAYOUT[F.kind][0]
-    return _pair(pt, unprimed) \
-        + _flip(unprimed, _pair(pt, _PARTNER[unprimed])) + [pt.s]
+def _image(primed, u, dP, s):
+    """The image whose `primed` pair is u, from F's gradient dP in that
+    pair: its other pair is -dP, flipped."""
+    return _point(primed, u, _flip(primed, [-g for g in dP]), s)
 
 
 def _rule(F, pt):
-    """The rule set of F's kind at pt, as (residual, jacobian, start).
+    """The rule set of F's kind at pt, as (jacobian, start).
 
-    residual(u) is `_rule_residual` at the image's primed pair u and
-    jacobian(u) is its (value, Jacobian); at a float point both run on the
-    kernels F's binder keeps.  Damped Newton starts from the point's own
-    primed pair.
+    jacobian(u) is the rule residual dF/d(unprimed pair) minus the momenta
+    conjugate to the point's unprimed pair, at the image's primed pair u,
+    and its Jacobian, the mixed Hessian (its transpose for F3, whose
+    unprimed pair fills (y, b)); both come from `_derivatives`.  Damped
+    Newton starts from the point's own primed pair.
     """
     if pt.n != F.n:
         raise ValueError(f"dimension mismatch: point has n={pt.n}, F has n={F.n}")
-    residual, jacobian = F._bind_rule(_rule_params(F, pt))
-    return residual, jacobian, _pair(pt, _LAYOUT[F.kind][1])
+    unprimed, primed, _ = _LAYOUT[F.kind]
+    known, momenta = _pair(pt, unprimed), _momenta(pt, unprimed)
+
+    def jacobian(u):
+        dU, _, hessian = F._derivatives([*known, *u, pt.s])
+        return [g - w for g, w in zip(dU, momenta)], hessian
+
+    return jacobian, _pair(pt, primed)
 
 
-def _det(jacobian, u):
-    """Determinant of the mixed Hessian d^2 F / d(x,a) d(y,b) at u: the
-    Jacobian of the rule residual (its transpose for F3, whose unprimed pair
-    fills (y, b))."""
-    _, rows = jacobian(u)
-    return float(np.linalg.det(np.array([[value_of(r) for r in row]
-                                         for row in rows])))
+def _det(hessian):
+    """Determinant of the mixed Hessian d^2 F / d(x,a) d(y,b)."""
+    return float(np.linalg.det(np.array([[value_of(h) for h in row]
+                                         for row in hessian])))
 
 
-def _solved_det(jacobian, u):
-    """`_det` at the root u of the residual, which must not vanish there."""
-    det = _det(jacobian, u)
+def _solved_det(hessian):
+    """`_det` at the root of the rule, where it must not vanish."""
+    det = _det(hessian)
     if abs(det) < 1e-12:
         raise DegeneracyError(
             f"generating function degenerate at solution (|hessian| = {abs(det):.3e})")
     return det
 
 
-def _image(F, known, u, s):
-    """The image whose primed pair (of F's kind) is u, of a point whose
-    unprimed pair is known: its other pair is -dF/d(primed), flipped."""
-    _, primed, first = _LAYOUT[F.kind]
-    dP = _pair_gradient(F, first, known, u, s, wrt_primed=True)
-    return _point(primed, u, _flip(primed, [-g for g in dP]), s)
-
-
 def _apply(F, pt):
     """Solve the rule set of F's kind at pt.
 
-    The unknowns are the image's primed pair, the root of the rule
-    residual; the momenta conjugate to it are then -dF/d(primed).
-    Returns (image point, resolved argument blocks (x, y, a, b), the
-    residual's jacobian, root).
+    The unknowns are the image's primed pair, the root u of the rule
+    residual; one read of F's derivatives at u gives the momenta conjugate
+    to it, -dF/d(primed), and the mixed Hessian.  Returns (image point,
+    resolved argument blocks (x, y, a, b), mixed Hessian at u).
     """
-    unprimed, _, first = _LAYOUT[F.kind]
-    residual, jacobian, start = _rule(F, pt)
-    u = numkit.newton_solve(residual, start, jacobian)
+    unprimed, primed, first = _LAYOUT[F.kind]
+    jacobian, start = _rule(F, pt)
+    u = numkit.newton_solve(None, start, jacobian)
     known = _pair(pt, unprimed)
-    return _image(F, known, u, pt.s), _blocks(first, known, u), jacobian, u
+    _, dP, hessian = F._derivatives([*known, *u, pt.s])
+    return _image(primed, u, dP, pt.s), _blocks(first, known, u), hessian
 
 
 def apply_generating(F, pt):
@@ -243,8 +223,8 @@ def apply_generating(F, pt):
     or (q, t) block; the branch continuous from it is returned when multiple
     solutions exist.
     """
-    image, _, jacobian, u = _apply(F, pt)
-    _solved_det(jacobian, u)
+    image, _, hessian = _apply(F, pt)
+    _solved_det(hessian)
     return image
 
 
@@ -254,8 +234,8 @@ def hessian_det(F, pt):
     The unresolved argument block is probed at the point's own (p, e) or
     (q, t) values; nonzero certifies local invertibility of the induced map.
     """
-    _, jacobian, u = _rule(F, pt)
-    return _det(jacobian, u)
+    jacobian, u = _rule(F, pt)
+    return _det(jacobian(u)[1])
 
 
 # algebraic offset of each kind's value relative to the F1 form: a primed
@@ -280,27 +260,27 @@ def legendre_convert(F, target_kind):
     its own arguments with one damped Newton solve over 2(n+1) unknowns:
     the source point's missing pair and F's primed pair.  The joint
     residual stacks F's rule at the source point on the mismatch between
-    the image's target-primed pair and the value's own; Newton starts from
-    that pair, and from the primed pair (of F's kind) of the source point it
-    implies.  The solve runs at the primal (`value_of`) arguments, on the
-    kernels of one `numkit.residual_binder` that the converted function
-    keeps.  Only when an argument carries a `Dual` does one more
-    `newton_solve`, on the dual residual, start from that root: it is the
-    convergence check and two polishing steps, which make Taylor orders 1-3
-    of the solution exact, enough for three nested seedings.  Errors come
-    from the float solve, so float and dual arguments raise the same types.
-    The source value is then shifted by the appropriate exchange terms.
+    the image's target-primed pair and the value's own, from one
+    first-order seeding of both of F's pairs; Newton starts from that pair,
+    and from the primed pair (of F's kind) of the source point it implies.
+    The solve runs at the primal (`value_of`) arguments, on the kernel of
+    one `numkit.residual_binder` that the converted function keeps.  Only
+    when an argument carries a `Dual` does one more `newton_solve`, on the
+    dual residual, start from that root: it is the convergence check and
+    two polishing steps, which make Taylor orders 1-3 of the solution
+    exact, enough for three nested seedings.  Errors come from the float
+    solve, so float and dual arguments raise the same types.  The source
+    value is then shifted by the appropriate exchange terms.
 
-    At float arguments the converted function's derivatives come from the
+    The converted function's `_derivatives` at float params come from the
     joint root w without seeding its value.  By the envelope theorem its
     gradient in its unprimed and primed pairs is the momenta conjugate to
     them in the configuration at w.  Its mixed Hessian follows by the
     implicit-function theorem: the joint residual is linear in the wanted
     pair, so dw/d(wanted) = J_w^-1 [0; I], one LU solve of the joint
-    Jacobian at w.  The rule residual, its Jacobian and the image's
-    gradient take them, so a float `apply_generating`, `hessian_det` and
-    `restriction_report`'s float solve seed no converted value; dual
-    arguments and dual points keep the solve plus dual polish above.
+    Jacobian at w.  A float `apply_generating`, `hessian_det` and
+    `restriction_report`'s float solve therefore seed no converted value;
+    dual params seed it, each value a float solve plus a dual polish.
     Unsolvable exchanges (e.g. the identity map as F1, whose joint Jacobian
     is singular) surface as :class:`DegeneracyError` when the converted
     function is evaluated or applied.
@@ -316,44 +296,46 @@ def legendre_convert(F, target_kind):
     def source(known, u, s):
         return _point(unprimed, known, u, s)
 
+    def gradient(src, v, s):
+        # F's gradient in src's unprimed pair (of F's kind) and in the
+        # primed pair v, from one seeding of both
+        _, g = numkit.grad_raw(
+            lambda z: F.value(*_blocks(f_first, z[:m], z[m:]), s),
+            _pair(src, f_unprimed) + list(v))
+        return g[:m], g[m:]
+
     def joint(params, w):
         # params: the known pair, the wanted pair and s, flat; w: the source
         # point's missing pair and F's primed pair
         known, want, s = params[:m], params[m:2 * m], params[2 * m]
         src, v = source(known, w[:m], s), w[m:]
+        dU, dP = gradient(src, v, s)
         got = v if primed == f_primed else \
-            _pair(_image(F, _pair(src, f_unprimed), v, s), primed)
-        return _rule_residual(F, _rule_params(F, src), v) \
+            _pair(_image(f_primed, v, dP, s), primed)
+        return [g - c for g, c in zip(dU, _momenta(src, f_unprimed))] \
             + [g - c for g, c in zip(got, want)]
 
     bind = numkit.residual_binder(joint, 2 * m + 1, 2 * m)
 
     def solve(params):
-        # the joint root: a float solve on the binder's kernels at the
-        # primal params, then one dual polish if any of them is dual
+        # the joint root: a float solve on the binder's kernel at the primal
+        # params, then one dual polish if any of them is dual
         floats = [value_of(v) for v in params]
         f_want = floats[m:2 * m]
         start = f_want + _pair(source(floats[:m], f_want, floats[-1]),
                                f_primed)
-        residual, jacobian = bind(floats)
-        w = numkit.newton_solve(residual, start, jacobian)
+        w = numkit.newton_solve(None, start, bind(floats))
         if any(isinstance(v, Dual) for v in params):
             w = numkit.newton_solve(partial(joint, params), w)
         return w
-
-    def configuration(params, w):
-        # the source point and its image at the joint unknowns w
-        s = params[2 * m]
-        src = source(params[:m], w[:m], s)
-        return src, _image(F, _pair(src, f_unprimed), w[m:], s)
 
     def converted(x, y, a, b, s):
         # the target's unprimed pair is known; its partner is the unknown
         xa, yb = list(x) + [a], list(y) + [b]
         known, want = (xa, yb) if first else (yb, xa)
-        params = known + want + [s]
-        w = solve(params)
-        src, img = configuration(params, w)
+        w = solve(known + want + [s])
+        src = source(known, w[:m], s)
+        img = _image(f_primed, w[m:], gradient(src, w[m:], s)[1], s)
         return F.value(*_blocks(f_first, _pair(src, f_unprimed), w[m:]), s) \
             - _extra(F.kind, src, img) + _extra(target_kind, src, img)
 
@@ -365,15 +347,17 @@ def legendre_convert(F, target_kind):
         # joint is linear in the wanted pair (d joint / d want = [0; -I]), so
         # by the implicit-function theorem dw / d want = J_w^-1 [0; I]
         w = solve(params)
-        _, img = configuration(params, w)
-        _, jacobian = bind(params)
-        dw = np.linalg.solve(np.array(jacobian(w)[1]), np.eye(2 * m)[:, m:])
-        return (_flip(unprimed, w[:m]),
-                [-g for g in _flip(primed, _pair(img, _PARTNER[primed]))],
+        s = params[2 * m]
+        src = source(params[:m], w[:m], s)
+        _, dP, _ = F._derivatives([*_pair(src, f_unprimed), *w[m:], s])
+        img = _image(f_primed, w[m:], dP, s)
+        dw = np.linalg.solve(np.array(bind(params)(w)[1]),
+                             np.eye(2 * m)[:, m:])
+        return (_flip(unprimed, w[:m]), [-g for g in _momenta(img, primed)],
                 (sign * dw[:m]).tolist())
 
     return _Converted(kind=target_kind, value=converted, n=n,
-                      _derivatives=derivatives)
+                      _kernel=derivatives)
 
 
 def embed_conventional(f2, n):
@@ -415,8 +399,8 @@ def restriction_report(F, pt, tol=1e-10):
     the map's Jacobian comes from the solve with pt seeded.
     """
     n = pt.n
-    _, args, jacobian, u = _apply(F, pt)
-    hdet = _solved_det(jacobian, u)
+    _, args, hessian = _apply(F, pt)
+    hdet = _solved_det(hessian)
     _, (dFds,) = numkit.grad_raw(lambda v: F.value(*args, v[0]), [pt.s])
     preserves = abs(value_of(dFds)) <= tol
     M = map_jacobian(lambda z: _apply(F, z)[0], pt)

@@ -60,6 +60,16 @@ def test_timescale_rejects_nonpositive_xi():
         apply_generating(F, ExtendedPoint(q=(1.0,), p=(0.0,), t=1.0, e=0.5))
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_timescale_rejects_nonfinite_time(t):
+    # the quadrature up to t = inf or nan has no finite panel count: a
+    # typed error, not the bare OverflowError or ValueError of int()
+    F = timescale_generating(TimeScaleSpec(xi=lambda t: 1.0 + t * t))
+    pt = ExtendedPoint(q=(1.4,), p=(-0.3,), t=t, e=0.7)
+    with pytest.raises(DomainEvaluationError):
+        apply_generating(F, pt)
+
+
 def test_direct_integration_stalls_at_collision():
     # the collision time of x = 1 + cos t' (with dt = x dt') is pi; the free
     # fall from rest at x0 = 1000 collides at t = pi/2 sqrt(x0^3 / 2 K2)

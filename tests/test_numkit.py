@@ -188,6 +188,30 @@ def test_newton_solve_dual_unknowns_give_implicit_derivative():
     assert value_of(g[0]) == pytest.approx(0.25, abs=1e-10)
 
 
+def test_newton_solve_evaluates_no_point_twice():
+    # x / sqrt(1 + x^2) = 0 from 1.5: the full first step overshoots to
+    # -3.375, so the line search backtracks once; the (r, J) of the
+    # accepted trial serves the next iteration, so no point repeats
+    points = []
+
+    def f(v):
+        return [v[0] / sqrt(1.0 + v[0] * v[0])]
+
+    def residual(v):
+        points.append(tuple(v))
+        return f(v)
+
+    def jacobian(v):
+        points.append(tuple(v))
+        return jacobian_raw(f, v)
+
+    x = newton_solve(residual, [1.5], jacobian)
+    assert x[0] == pytest.approx(0.0, abs=1e-12)
+    # the full step and the half step the line search takes instead
+    assert [p[0] for p in points[1:3]] == pytest.approx([-3.375, -0.9375])
+    assert len(points) == len(set(points))
+
+
 def test_quad_fixed_exact_for_smooth_integrand():
     got = quad_fixed(lambda t: cos(t), 0.0, 1.5)
     assert value_of(got) == pytest.approx(math.sin(1.5), abs=1e-14)

@@ -265,10 +265,10 @@ def test_hessian_det_matches_sympy_for_every_kind():
 
 
 # ---------------------------------------------------------------------------
-# traced rule kernels: at a float point the rule residual and its Jacobian
-# run on kernels traced once per F and kept as long as F; they must
-# reproduce the Dual path bit for bit, and dual points and untraceable Fs
-# must keep the Dual path
+# traced derivative kernels: at a float point F's derivatives (both pair
+# gradients and the mixed Hessian) run on one kernel traced once per F and
+# kept as long as F; it must reproduce the Dual path bit for bit, and dual
+# points and untraceable Fs must keep the Dual path
 # ---------------------------------------------------------------------------
 
 
@@ -360,15 +360,18 @@ def _polynomial_cases(draw):
 def test_traced_rule_matches_dual_path(case):
     F, pt = case
     ref = _dual_path(F)
-    residual, jacobian, u = transform._rule(F, pt)
-    ref_residual, _, ref_u = transform._rule(ref, pt)
+    _, u = transform._rule(F, pt)
+    _, ref_u = transform._rule(ref, pt)
     assert u == ref_u
-    # the plain residual, and (r, J) of one seeding, at the start and off it
+    # the kernel's gradients in both pairs and its mixed Hessian, at the
+    # start and off it: the rule, its Jacobian and the image read them
+    known = _pair(pt, _LAYOUT[F.kind][0])
     for v in (u, [ui + 0.25 for ui in u]):
-        assert _hexes(residual(v)) == _hexes(ref_residual(v))
-        r, rows = jacobian(v)
-        ref_r, ref_rows = numkit.jacobian_raw(ref_residual, v)
-        assert _hexes(r) == _hexes(ref_r)
+        params = [*known, *v, pt.s]
+        (dU, dP, rows), (ref_dU, ref_dP, ref_rows) = \
+            F._derivatives(params), ref._derivatives(params)
+        assert _hexes(dU) == _hexes(ref_dU)
+        assert _hexes(dP) == _hexes(ref_dP)
         assert [_hexes(row) for row in rows] \
             == [_hexes(row) for row in ref_rows]
     assert hessian_det(F, pt).hex() == hessian_det(ref, pt).hex()
@@ -405,7 +408,7 @@ def test_repeat_float_apply_runs_on_cached_kernels(jacobian_calls):
                                     n=F.n)
     for G in (F, unhashable):
         jacobian_calls.clear()
-        # the first float apply traces G's kernels: one seeding, over leaves
+        # the first float apply traces G's kernel: one seeding, over leaves
         assert _image_hexes(apply_generating(G, BOOST_PT)) == BOOST_IMAGE
         assert len(jacobian_calls) == 1
         jacobian_calls.clear()
@@ -418,43 +421,46 @@ def test_dual_points_and_untraceable_fs_keep_dual_path(jacobian_calls):
     apply_generating(F, BOOST_PT)
     jacobian_calls.clear()
     # the map Jacobian seeds the point: one seeding for the map, and the
-    # inner solve at the dual point seeds its rule at each of its two
-    # iterations and at its second polishing step (the first reuses the
-    # converged iterate's); the float solve runs on F's kernels
+    # inner solve at the dual point seeds F's derivatives (the whole
+    # triple) at each of its two iterations, at its second polishing step
+    # (the first reuses the converged iterate's) and once at the root, for
+    # the image; the float solve runs on F's kernel
     rep = restriction_report(F, BOOST_PT)
-    assert len(jacobian_calls) == 4
+    assert len(jacobian_calls) == 5
     assert (rep.hessian_det.hex(), rep.liouville_det.hex()) \
         == ('-0x1.0000000000000p+0', '0x1.0000000000002p+0')
     assert (rep.time_global, rep.spacetime_split, rep.subspace_liouville,
             rep.preserves_H1) == (False, False, False, True)
-    # a value that reads s and a quadrature in the value: no rule kernels,
-    # and the Dual path's seedings in every Newton iteration, 4: the rule's
-    # Jacobian at both iterations, at the second polishing step and in the
+    # a value that reads s and a quadrature in the value: no kernel, so
+    # 5 seedings of F's derivatives: one over leaves in the aborted trace,
+    # then the Dual path's at both Newton iterations, at the second
+    # polishing step and once at the root, for the image and the
     # degeneracy check.  A converted F at a float point seeds none of its
-    # values: its rule, the degeneracy check and the image's gradient read
-    # its derivatives off float joint solves on the converted F's kernels,
-    # so it seeds once, when the first of them traces the joint Jacobian
-    # kernel over leaves
+    # values: its rule, the image and the degeneracy check read its
+    # derivatives off float joint solves on the converted F's kernel, so
+    # it seeds twice over leaves, when the first of them traces the joint
+    # Jacobian kernel and reads the image off the source F's kernel
     timescale = timescale_generating(TimeScaleSpec(xi=lambda t: 1.0 + t))
     converted = legendre_convert(GeneratingFunction(
         kind="F2", value=lambda q, pp, t, ep, s: q[0] * pp[0]
         + 0.5 * q[0] ** 2 - t * ep, n=1), "F3")
     for G, pt, want, seedings in [
-            (_dual_path(F), BOOST_PT, BOOST_IMAGE, 4),
+            (_dual_path(F), BOOST_PT, BOOST_IMAGE, 5),
             (timescale, ExtendedPoint(q=(1.4,), p=(-0.3,), t=1.0, e=0.7),
              ['0x1.6666666666666p+0', '-0x1.3333333333333p-2',
-              '0x1.62e42fefa39eep-1', '0x1.6666666666667p+0'], 4),
+              '0x1.62e42fefa39eep-1', '0x1.6666666666667p+0'], 5),
             (converted, PT,
              ['0x1.4cccccccccccdp+0', '-0x1.0000000000000p+1',
-              '0x1.999999999999ap-2', '0x1.ccccccccccccdp-1'], 1)]:
+              '0x1.999999999999ap-2', '0x1.ccccccccccccdp-1'], 2)]:
         jacobian_calls.clear()
         assert _image_hexes(apply_generating(G, pt)) == want
         assert len(jacobian_calls) == seedings
 
 
 def test_rule_kernels_are_freed_with_f():
-    # each F's binder holds its kernels and F itself: a cycle that the
-    # garbage collector frees once F is dropped
+    # each F keeps its kernel, which an aborted trace leaves as F's own
+    # bound seeded code: a cycle that the garbage collector frees once F is
+    # dropped
     refs = []
     for i in range(100):
         F = shift_f2(a=0.01 * i)
@@ -491,7 +497,7 @@ def _reference_legendre_convert(F, target_kind):
             return [g - w for g, w in zip(_pair(img, primed), want)]
 
         src = source(numkit.newton_solve(residual, want))
-        img, src_args, _, _ = _apply(F, src)
+        img, src_args, _ = _apply(F, src)
         src_val = F.value(*src_args, s)
         return src_val - _extra(F.kind, src, img) \
             + _extra(target_kind, src, img)
@@ -653,11 +659,11 @@ def test_identity_as_f1_stays_degenerate(n):
 
 def test_converted_apply_solves_once_per_value(monkeypatch):
     # one Newton solve of the converted F's rule, and one float joint solve
-    # for each of the six times the apply reads the converted value's
-    # derivatives off its root (four rule evaluations, the degeneracy check
-    # and the image's gradient), with no dual polish: 1 + 6.  Seeding the
-    # converted values made 13, the nested solve before that 50, and the F2
-    # itself makes 1
+    # for each of the four times the apply reads the converted value's
+    # derivatives off its root (the rule at both Newton iterations and at
+    # the second polishing step, and once at the root for the image and
+    # the degeneracy check), with no dual polish: 1 + 4.  The F2 itself
+    # makes 1
     solves = []
     newton_solve = numkit.newton_solve
 
@@ -669,20 +675,19 @@ def test_converted_apply_solves_once_per_value(monkeypatch):
     G = legendre_convert(F, "F3")
     monkeypatch.setattr(numkit, "newton_solve", counted)
     img = apply_generating(G, BOOST_PT)
-    assert len(solves) == 7
+    assert len(solves) == 5
     assert [value_of(v) for v in (*img.q, *img.p, img.t, img.e)] \
         == pytest.approx([float.fromhex(h) for h in BOOST_IMAGE], abs=1e-12)
 
 
 def test_aborted_rule_trace_skips_the_jacobian_trace(monkeypatch,
                                                     jacobian_calls):
-    # a converted F's rule at a float point is never traced, neither its
-    # value nor its Jacobian: it runs on the converted F's derivatives, read
-    # off float joint solves.  Both applies make the same 7 solves, one for
-    # the rule and one joint solve for each of the six reads of the
-    # derivatives.  The first apply seeds once, when its first joint solve
-    # traces the joint Jacobian kernel over leaves, and a repeat seeds
-    # nothing
+    # a converted F's derivatives at a float point are never traced: they
+    # are read off float joint solves.  Both applies make the same 5
+    # solves, one for the rule and one joint solve for each of the four
+    # reads of the derivatives.  The first apply seeds twice over leaves,
+    # when its first read traces the joint Jacobian kernel and the source
+    # F's kernel that gives the image, and a repeat seeds nothing
     solves = []
     newton_solve = numkit.newton_solve
 
@@ -694,11 +699,11 @@ def test_aborted_rule_trace_skips_the_jacobian_trace(monkeypatch,
     monkeypatch.setattr(numkit, "newton_solve", counted)
     jacobian_calls.clear()
     apply_generating(G, BOOST_PT)
-    assert (len(solves), len(jacobian_calls)) == (7, 1)
+    assert (len(solves), len(jacobian_calls)) == (5, 2)
     solves.clear()
     jacobian_calls.clear()
     apply_generating(G, BOOST_PT)
-    assert (len(solves), len(jacobian_calls)) == (7, 0)
+    assert (len(solves), len(jacobian_calls)) == (5, 0)
 
 
 def test_converted_restriction_report_matches_source():
@@ -716,10 +721,10 @@ def test_converted_restriction_report_matches_source():
 
 
 def test_float_converted_values_run_on_kernels(monkeypatch, jacobian_calls):
-    # a float converted value solves on the kernels of the converted F's
-    # binder: the first call traces them (one Jacobian seeding, over
+    # a float converted value solves on the one kernel of the converted
+    # F's binder: the first call traces it (one Jacobian seeding, over
     # leaves), a repeat's solve seeds no Jacobian, and the values keep the
-    # bits of the joint solve in duals; the kernels are freed with the
+    # bits of the joint solve in duals; the kernel is freed with the
     # converted F
     traced = []
     trace = numkit.trace
@@ -738,7 +743,7 @@ def test_float_converted_values_run_on_kernels(monkeypatch, jacobian_calls):
     jacobian_calls.clear()
     assert G.value(*cases[0][0]).hex() == cases[0][1]
     assert len(jacobian_calls) == 1
-    assert [ref().__name__ for ref in traced] == ["kernel", "kernel"]
+    assert [ref().__name__ for ref in traced] == ["kernel"]
     jacobian_calls.clear()
     for args, want in cases * 2:
         assert G.value(*args).hex() == want
