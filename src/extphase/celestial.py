@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import numkit
 from .errors import (CollisionChartError, DomainEvaluationError,
                      IntegrationStallError)
 from .numkit import Trajectory, value_of
-from .phase import (ExtendedPoint, HamiltonianSystem, map_jacobian,
+from .phase import (ExtendedPoint, HamiltonianSystem, _flat, _flat_map,
                     symplectic_matrix)
 from .transform import GeneratingFunction
 
@@ -30,6 +30,13 @@ class TimeScaleSpec:
 
     xi: object  # callable t -> scalar, > 0 on the working domain
     t0: float = 0.0
+
+    @cached_property
+    def _ks_derivatives(self):
+        """`_ks_seeded` under this time scale, on the kernel traced at the
+        first point it is called with: the kernel lives as long as the
+        spec."""
+        return numkit._trace_on_first_call(partial(_ks_seeded, self))
 
 
 # the default time scale of the KS functions: xi identically 1, so t = t'
@@ -227,6 +234,17 @@ def ks_extended_map(pt_ks, spec: TimeScaleSpec = _UNIT_TIME):
     return ExtendedPoint(q=q, p=p, t=t, e=e, s=pt_ks.s)
 
 
+def _ks_seeded(spec: TimeScaleSpec, z):
+    """At the flat z = (u.., t', pu.., -e'): the rows of the Jacobian of
+    `ks_extended_map` in the (q.., t, p.., -e) ordering, and the gradient of
+    `ks_bilinear` in (u.., pu..)."""
+    _, rows = numkit.jacobian_raw(
+        _flat_map(partial(ks_extended_map, spec=spec), 4, 0.0), z)
+    _, dC = numkit.grad_raw(lambda w: ks_bilinear(w[:4], w[4:]),
+                            [*z[:4], *z[5:9]])
+    return rows, dC
+
+
 def ks_symplectic_residual(u, pu, tprime=0.0,
                            spec: TimeScaleSpec = _UNIT_TIME):
     """Canonicity certificate for the extended KS map at one point.
@@ -236,15 +254,25 @@ def ks_symplectic_residual(u, pu, tprime=0.0,
     evaluated on pairs of tangent vectors of the bilinear-constraint
     surface, where the transformation is canonical.  Returns the max
     absolute pairing defect over an orthonormal tangent basis.
+
+    The map's Jacobian M (as `phase.map_jacobian` gives it) and the
+    constraint's gradient run on one kernel that spec keeps, traced at the
+    first point.  Its guards are the collision test of `ks_map`, the
+    quadrature's finiteness test and panel count, and the xi checks; where
+    one fails, the call runs the Dual code, so u = 0 raises
+    `CollisionChartError` and a non-positive xi `DomainEvaluationError`
+    as they do there.  Under the unit xi every t' of |t'| < 0.5 shares the
+    kernel's guards.
     """
     eprime = 0.0
-    pt = ExtendedPoint(q=u, p=pu, t=tprime, e=eprime)
-    M = map_jacobian(lambda z: ks_extended_map(z, spec), pt)
+    rows, dC = spec._ks_derivatives(
+        _flat(ExtendedPoint(q=u, p=pu, t=tprime, e=eprime)))
+    # a float seeding's rows hold floats, as the Dual path's value_of gives
+    M = np.array(rows)
     J = symplectic_matrix(4)
     R = M.T @ J @ M - J
 
     # gradient of the bilinear constraint in the (q.., t, p.., -e) ordering
-    _, dC = numkit.grad_raw(lambda z: ks_bilinear(z[:4], z[4:]), [*u, *pu])
     grad = np.array([*dC[:4], 0.0, *dC[4:], 0.0])
     nrm = np.linalg.norm(grad)
     if nrm < 1e-14:

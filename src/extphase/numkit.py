@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import add, neg, sub
+from operator import add, eq, ge, gt, le, lt, mul, ne, neg, sub, truediv
 
 import numpy as np
 
@@ -119,6 +119,10 @@ class Dual:
         """Real powers only: a non-integer power of a negative value raises
         :class:`DomainEvaluationError`."""
         if isinstance(k, Dual):
+            # a trace compiles only powers with a constant integral
+            # exponent (`_Leaf.__pow__`), so a traced exponent ends it
+            if isinstance(value_of(k), _Leaf):
+                raise _TraceAbort
             return exp(k * log(self))
         if k == 0:
             return Dual(self.val * 0 + 1.0,
@@ -162,7 +166,9 @@ def value_of(x):
     """Strip all dual layers, returning the underlying float.
 
     A complex value (such as ``(-2.0) ** 0.5`` of plain floats) raises
-    :class:`DomainEvaluationError`.
+    :class:`DomainEvaluationError`.  Inside `trace` the underlying value is
+    a leaf, whose conversion is recorded as a kernel line: a comparison on
+    the leaf it gives records a guard.
     """
     while isinstance(x, Dual):
         x = x.val
@@ -172,6 +178,8 @@ def value_of(x):
         if isinstance(x, complex):
             raise DomainEvaluationError(f"complex value {x}") from None
         raise
+    except _TraceAbort:
+        return x._record("float({})", float, x)  # float() of a `_Leaf`
 
 
 def _chain(x, f0, d0):
@@ -190,6 +198,8 @@ def sqrt(x):
         return _chain(x, r, d)
     if x < 0.0:
         raise DomainEvaluationError(f"sqrt of negative value {x}")
+    if isinstance(x, _Leaf):
+        return x._record("sqrt({})", math.sqrt, x)
     return math.sqrt(x)
 
 
@@ -198,7 +208,7 @@ def exp(x):
         r = exp(x.val)
         return _chain(x, r, r)
     if isinstance(x, _Leaf):
-        return x._record("exp({})", x)
+        return x._record("exp({})", math.exp, x)
     return math.exp(x)
 
 
@@ -208,6 +218,8 @@ def log(x):
                       else x.val ** -1.0)
     if x <= 0.0:
         raise DomainEvaluationError(f"log of non-positive value {x}")
+    if isinstance(x, _Leaf):
+        return x._record("log({})", math.log, x)
     return math.log(x)
 
 
@@ -215,7 +227,7 @@ def sin(x):
     if isinstance(x, Dual):
         return _chain(x, sin(x.val), cos(x.val))
     if isinstance(x, _Leaf):
-        return x._record("sin({})", x)
+        return x._record("sin({})", math.sin, x)
     return math.sin(x)
 
 
@@ -223,7 +235,7 @@ def cos(x):
     if isinstance(x, Dual):
         return _chain(x, cos(x.val), -sin(x.val))
     if isinstance(x, _Leaf):
-        return x._record("cos({})", x)
+        return x._record("cos({})", math.cos, x)
     return math.cos(x)
 
 
@@ -297,19 +309,28 @@ def jacobian_raw(fvec, x):
 
 
 # ---------------------------------------------------------------------------
-# straight-line kernels: Dual code recorded once over symbolic leaves
+# straight-line kernels: Dual code recorded once over leaves that carry the
+# values of one call, with a guard on every step that reads them
 # ---------------------------------------------------------------------------
 
-# a trace that records more operations gives up, so a large field keeps the
-# Dual path rather than compiling a huge kernel
+# a trace that records more operations and guards gives up, so a large field
+# keeps the Dual path rather than compiling a huge kernel
 TRACE_MAX_OPS = 10000
 
 _SCALARS = (int, float)  # float takes in np.float64
 
+# the compiler's transient memory grows by a few kB per line it compiles, so
+# a kernel of more lines is compiled in chunks of this many
+_TRACE_CHUNK = 256
+
 
 class _TraceAbort(BaseException):
-    """A value-dependent step inside `trace`; not an Exception, so a field's
-    own ``except Exception`` cannot swallow it."""
+    """A step inside `trace` that a kernel cannot replay; not an Exception,
+    so a field's own ``except Exception`` cannot swallow it."""
+
+
+class _GuardMiss(Exception):
+    """A guard of a traced kernel that fails: the call runs fn itself."""
 
 
 def _abort(*args):
@@ -322,84 +343,141 @@ def _item(x):
     return x.item() if isinstance(x, np.generic) else x
 
 
-def _binary(template, name):
+def _val(x):
+    """x's value in the traced call."""
+    return x.val if isinstance(x, _Leaf) else x
+
+
+def _binary(template, name, op):
     """A leaf's operator `name` and its reflected form."""
-    def op(self, other):
+    def fwd(self, other):
         if isinstance(other, (_Leaf, *_SCALARS)):
-            return self._record(template, self, other)
+            return self._record(template, op, self, other)
         if isinstance(other, Dual):
             # a numpy scalar on the left of a Dual reaches the Dual's
             # reflected method as a Python scalar: record that hand-over
-            return getattr(other, f"__r{name}__")(self._record("_item({})", self))
+            return getattr(other, f"__r{name}__")(
+                self._record("_item({})", _item, self))
         return NotImplemented
 
-    def rop(self, other):
+    def rev(self, other):
         if isinstance(other, (_Leaf, *_SCALARS)):
-            return self._record(template, other, self)
+            return self._record(template, op, other, self)
         return NotImplemented
-    return op, rop
+    return fwd, rev
+
+
+def _compare(template, op):
+    """A leaf's comparison: the outcome at the carried values, with a guard
+    that the kernel leaves for fn wherever the outcome differs."""
+    def cmp(self, other):
+        if not isinstance(other, (_Leaf, *_SCALARS)):
+            return NotImplemented
+        outcome = op(self.val, _val(other))
+        self._guard(f"not ({template})" if outcome else template, self, other)
+        return outcome
+    return cmp
 
 
 class _Leaf:
-    """A symbolic float inside `trace`: every operation on it appends one
-    line to the shared tape, and any step that needs its value aborts."""
+    """A float inside `trace` that carries its value in the traced call:
+    every operation on it appends one line to the shared tape, and every
+    step that reads its value (a comparison, ``int()``) a guard."""
 
-    __slots__ = ("tape", "name")
+    __slots__ = ("tape", "name", "val")
     __array_ufunc__ = None  # numpy scalars defer to the reflected methods
 
-    def __init__(self, tape, name):
+    def __init__(self, tape, name, val):
         self.tape = tape
         self.name = name
+        self.val = val
 
-    def _record(self, template, *args):
+    def _record(self, template, op, *args):
+        """The leaf of op on args, whose line is template over them."""
         tape = self.tape
         if len(tape) == TRACE_MAX_OPS:
             raise _TraceAbort
-        out = _Leaf(tape, f"v{len(tape)}")
+        out = _Leaf(tape, f"v{len(tape)}", op(*map(_val, args)))
         tape.append((out.name, template, args))
         return out
 
-    __add__, __radd__ = _binary("{} + {}", "add")
-    __sub__, __rsub__ = _binary("{} - {}", "sub")
-    __mul__, __rmul__ = _binary("{} * {}", "mul")
-    __truediv__, __rtruediv__ = _binary("{} / {}", "truediv")
+    def _guard(self, miss, *args):
+        """A guard line: the kernel runs fn itself wherever the test miss,
+        over args, holds."""
+        if len(self.tape) == TRACE_MAX_OPS:
+            raise _TraceAbort
+        self.tape.append((None, miss, args))
+
+    __add__, __radd__ = _binary("{} + {}", "add", add)
+    __sub__, __rsub__ = _binary("{} - {}", "sub", sub)
+    __mul__, __rmul__ = _binary("{} * {}", "mul", mul)
+    __truediv__, __rtruediv__ = _binary("{} / {}", "truediv", truediv)
+
+    __lt__ = _compare("{} < {}", lt)
+    __le__ = _compare("{} <= {}", le)
+    __gt__ = _compare("{} > {}", gt)
+    __ge__ = _compare("{} >= {}", ge)
+    __eq__ = _compare("{} == {}", eq)
+    __ne__ = _compare("{} != {}", ne)
 
     def __pow__(self, k):
         # an integral exponent keeps a real base real; any other may not
         if not (isinstance(k, _SCALARS) and float(k).is_integer()):
             raise _TraceAbort
-        return self._record("{} ** {}", self, k)
+        return self._record("{} ** {}", pow, self, k)
 
     def __neg__(self):
-        return self._record("-{}", self)
+        return self._record("-{}", neg, self)
 
-    # any other operation raises TypeError, which ends the trace as well
-    __abs__ = __bool__ = __float__ = __int__ = __index__ = _abort
-    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _abort
+    def __abs__(self):
+        return self._record("abs({})", abs, self)
+
+    def __int__(self):
+        k = int(self.val)
+        self._guard("int({}) != {}", self, k)
+        return k
+
+    # float() and bool() have no kernel line: they end the trace
+    __bool__ = __float__ = __index__ = _abort
 
 
-def trace(fn, m):
-    """fn recorded once over m symbolic leaves and compiled into one
-    straight-line function of a sequence of m floats; fn itself if the
-    trace aborts.
+def trace(fn, x):
+    """fn recorded once, at the values x of one call, and compiled into one
+    function of a sequence of len(x) floats; fn itself if the trace aborts.
 
     fn is Dual code, such as `grad_raw` of a field or nested
     `time_derivatives`, returning scalars in nested tuples and lists; it
-    must be a pure function of its m inputs, since whatever else it reads
-    is recorded as a constant.
+    must be a pure function of its inputs, since whatever else it reads is
+    recorded as a constant.
 
-    The kernel runs fn's float operations in fn's order on the very
-    argument objects it is given, so its results are bit-identical to fn's,
+    fn runs once on leaves that carry the values x.  A step that reads a
+    value records a guard: a comparison gives its outcome at x, ``int()``
+    its result, and the domain checks of `sqrt` and `log` and the
+    finiteness test of `quad_fixed` are comparisons; `value_of` of a leaf
+    is a leaf whose line converts it as `value_of` does.  The kernel runs
+    fn's float operations in fn's order on the very argument objects it is
+    given, so its results are bit-identical to fn's.  A kernel with guards
+    runs its lines inside one ``try``: a guard that fails, or any
+    exception, makes that call return fn's own result or raise fn's own
+    error; such a kernel holds fn, so an owner that keeps it and that fn
+    refers to is freed by the cyclic collector only.  A kernel without
+    guards holds no reference to fn and is the straight-line code alone,
     and a float operation that raises in fn (ZeroDivisionError,
-    OverflowError) raises in the kernel.  The trace aborts on a step that
-    needs a value (a comparison, ``abs``, `value_of`, ``float()``, a
-    non-integer power, the domain check of `sqrt` or `log`), on more than
-    ``TRACE_MAX_OPS`` operations, and on any exception fn raises.
-    Constants keep their type and value: a finite float or an int is
-    written out, any other one (inf, nan, np.float64) is bound by name.
+    OverflowError) raises in it.  A tape of more than ``_TRACE_CHUNK``
+    lines runs as a chain of functions of that many lines, each compiled on
+    its own, which bounds the compiler's transient memory.
+
+    If fn raises at x, trace raises that error.  The trace aborts, and
+    gives fn back, on ``float()`` or ``bool()`` of a leaf, on a
+    non-integer or a traced power, on more than ``TRACE_MAX_OPS`` lines
+    (guards count), and on a result that is not scalars in tuples and lists.
+    Constants keep their type and value: a finite float or an int is written
+    out, any other one (inf, nan, np.float64) is bound by name.
     """
-    tape, names = [], {"exp": math.exp, "sin": math.sin, "cos": math.cos,
-                       "_item": _item}
+    tape = []
+    names = {"exp": math.exp, "sin": math.sin, "cos": math.cos,
+             "sqrt": math.sqrt, "log": math.log, "float": float,
+             "_item": _item, "_GuardMiss": _GuardMiss}
 
     def ref(c):
         if isinstance(c, _Leaf):
@@ -415,23 +493,74 @@ def trace(fn, m):
             return "(" + "".join(emit(o) + ", " for o in out) + ")"
         if type(out) is list:
             return "[" + ", ".join(map(emit, out)) + "]"
-        if not isinstance(out, (_Leaf, *_SCALARS)):
+        if isinstance(out, _Leaf):
+            returned.add(out.name)
+        elif not isinstance(out, _SCALARS):
             raise _TraceAbort  # a Dual, or any other object
         return ref(out)
 
-    leaves = [_Leaf(tape, f"x{i}") for i in range(m)]
+    def line(out, template, args):
+        code = template.format(*map(ref, args))
+        return f"{out} = {code}" if out else f"if {code}: raise _GuardMiss"
+
+    leaves = [_Leaf(tape, f"x{i}", v) for i, v in enumerate(x)]
+    returned = set()  # the names of the leaves fn returns
     try:
         ret = emit(fn(leaves))
-    except (_TraceAbort, Exception):
-        # fn itself raises any such error again
+    except _TraceAbort:
         return fn
+    except Exception:
+        # fn's own error at x, which fn raises again; if it does not, the
+        # error came from a leaf (such as a numpy ufunc of one)
+        fn(x)
+        return fn
+    if len(tape) <= _TRACE_CHUNK:
+        body = [line(*entry) for entry in tape]
+    else:
+        # chunk k becomes the function _ck, compiled on its own: it takes
+        # the names it reads from earlier lines and returns those read later
+        body, later = [], returned
+        for k in reversed(range(0, len(tape), _TRACE_CHUNK)):
+            chunk = tape[k:k + _TRACE_CHUNK]
+            made = {out for out, _, _ in chunk if out}
+            reads = {a.name for _, _, args in chunk for a in args
+                     if isinstance(a, _Leaf)} - made
+            ins = ", ".join(sorted(reads))
+            outs = "(" + "".join(f"{v}, " for v in sorted(made & later)) + ")"
+            src = [f"def _c{k}({ins}):", *("    " + line(*e) for e in chunk),
+                   f"    return {outs}"]
+            exec(compile("\n".join(src), "<trace>", "exec"), names)
+            body.insert(0, f"{outs} = _c{k}({ins})")
+            later = (later - made) | reads
+    body.append(f"return {ret}")
     lines = ["def kernel(x):",
-             "    (" + "".join(f"{x.name}, " for x in leaves) + ") = x"]
-    lines += [f"    {out} = " + template.format(*map(ref, args))
-              for out, template, args in tape]
-    lines.append(f"    return {ret}")
+             "    (" + "".join(f"{v.name}, " for v in leaves) + ") = x"]
+    if any(out is None for out, _, _ in tape):
+        # only a guarded kernel holds fn, for its fallback
+        names["_fn"] = fn
+        lines += ["    try:", *("        " + b for b in body),
+                  "    except Exception:",
+                  "        pass",
+                  "    return _fn(x)"]
+    else:
+        lines += ["    " + b for b in body]
     exec(compile("\n".join(lines), "<trace>", "exec"), names)
     return names["kernel"]
+
+
+def _trace_on_first_call(fn):
+    """x -> fn(x), on the kernel that `trace` makes of fn at the first x
+    and keeps; a first x at which fn raises keeps nothing, so the next call
+    traces again.  Once traced, fn is held only by the kernel: by a guarded
+    one for its fallback, or as the kernel itself if the trace aborted."""
+    held = [fn, False]  # fn until traced, then the kernel; traced yet
+
+    def call(x):
+        if not held[1]:
+            held[:] = trace(held[0], x), True
+        return held[0](x)
+
+    return call
 
 
 def residual_binder(res, k, m):
@@ -440,7 +569,7 @@ def residual_binder(res, k, m):
     u with k parameters.
 
     At all-float params it runs on one kernel traced over the flat
-    (params.., u..) on the first such call and kept in the binder, so it
+    (params.., u..) of the first such call and kept in the binder, so it
     lives as long as the binder does; the unknowns must then be floats too.
     A trace that aborts leaves the Dual code in its place, as `trace` does.
     Dual params keep the Dual code.  res must be a pure function of its
@@ -449,14 +578,11 @@ def residual_binder(res, k, m):
     def jacobian(x):
         return jacobian_raw(lambda u: res(x[:k], u), x[k:])
 
-    kernel = []
+    kernel = _trace_on_first_call(jacobian)
 
     def bind(params):
-        J = jacobian
-        if all(isinstance(v, _SCALARS) for v in params):
-            if not kernel:
-                kernel.append(trace(jacobian, k + m))
-            J = kernel[0]
+        J = kernel if all(isinstance(v, _SCALARS) for v in params) \
+            else jacobian
         return lambda u: J([*params, *u])
 
     return bind
@@ -593,10 +719,13 @@ def quad_fixed(f, a, b):
     Fixed nodes (no adaptivity) keep the result a smooth, dual-differentiable
     function of the endpoints; accuracy is machine-level for the smooth
     integrands used here.  An interval whose length is not finite (an
-    endpoint at inf or nan) raises :class:`DomainEvaluationError`.
+    endpoint at inf or nan) raises :class:`DomainEvaluationError`.  Inside
+    `trace` the finiteness test and the panel count are guards, so a
+    kernel holds for every interval of the traced one's panel count.
     """
     span = abs(value_of(b) - value_of(a))
-    if not math.isfinite(span):
+    # a comparison, which a trace records as a guard; NaN fails it too
+    if not span < math.inf:
         raise DomainEvaluationError(
             f"non-finite quadrature interval [{value_of(a)}, {value_of(b)}]")
     nodes, weights = _gauss_legendre_10()

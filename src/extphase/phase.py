@@ -134,17 +134,21 @@ def propagate(pt0, sys, par, s_span, opts=None):
 
     The trajectory state is (q.., p.., t, e); extended_value is constant
     along it, and on-shell starts stay on-shell to integration tolerance.
-    The H-gradient is a kernel traced once from `grad_raw` (the Dual path
-    when H does not trace).  Each right-hand side reads its state once, so
-    k and the kernel see Python floats.
+    The H-gradient is a kernel traced from `grad_raw` at the first
+    right-hand side's state (the Dual path when H does not trace).  Each
+    right-hand side reads its state once, so k and the kernel see Python
+    floats.
     """
     n = pt0.n
     s0, s1 = s_span
-    grad = numkit.trace(_h_grad(sys, n), 2 * n + 1)
+    grad, kernel = _h_grad(sys, n), []
 
     def rhs(s, y):
-        pt = state_to_point(y.tolist(), n, s=s)
-        return extended_rhs(pt, par.k(s, pt), sys, grad)
+        x = y.tolist()
+        pt = state_to_point(x, n, s=s)
+        if not kernel:
+            kernel.append(numkit.trace(grad, x[:2 * n + 1]))
+        return extended_rhs(pt, par.k(s, pt), sys, kernel[0])
 
     return numkit.integrate(rhs, point_to_state(pt0), s0, s1, opts,
                             labels=trajectory_labels(n))
@@ -198,22 +202,28 @@ def symplectic_matrix(n):
     return J
 
 
+def _flat(pt):
+    """pt's coordinates in the (q.., t, p.., -e) ordering."""
+    return list(pt.q) + [pt.t] + list(pt.p) + [-pt.e]
+
+
+def _flat_map(map_fn, n, s):
+    """map_fn as a function of the flat (q.., t, p.., -e) of points of
+    dimension n and parameter s, to the flat image."""
+    def fvec(z):
+        src = ExtendedPoint(q=tuple(z[:n]), p=tuple(z[n + 1:2 * n + 1]),
+                            t=z[n], e=-z[2 * n + 1], s=s)
+        return _flat(map_fn(src))
+    return fvec
+
+
 def map_jacobian(map_fn, pt):
     """Jacobian of a smooth extended-coordinate map in (q.., t, p.., -e) ordering.
 
     map_fn takes and returns an ExtendedPoint and must be generic over dual
     coordinates, including any implicit solves it performs internally.
     """
-    n = pt.n
-    z0 = list(pt.q) + [pt.t] + list(pt.p) + [-pt.e]
-
-    def fvec(z):
-        src = ExtendedPoint(q=tuple(z[:n]), p=tuple(z[n + 1:2 * n + 1]),
-                            t=z[n], e=-z[2 * n + 1], s=pt.s)
-        img = map_fn(src)
-        return list(img.q) + [img.t] + list(img.p) + [-img.e]
-
-    _, rows = numkit.jacobian_raw(fvec, z0)
+    _, rows = numkit.jacobian_raw(_flat_map(map_fn, pt.n, pt.s), _flat(pt))
     return np.array([[value_of(v) for v in row] for row in rows])
 
 

@@ -73,8 +73,9 @@ class GeneratingFunction:
 
     @cached_property
     def _kernel(self):
-        """`_seeded` traced once: the kernel lives as long as F."""
-        return numkit.trace(self._seeded, 2 * self.n + 3)
+        """`_seeded` on the kernel traced at the first float params it is
+        called with: the kernel lives as long as F."""
+        return numkit._trace_on_first_call(self._seeded)
 
     def _seeded(self, params):
         # one nested seeding, the primed pair outside: the inner gradient's

@@ -1,8 +1,10 @@
 """Time scaling, 1-D Kepler regularization, Kustaanheimo-Stiefel map."""
 
+import gc
 import math
 import random
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from extphase.celestial import (KeplerSpec, TimeScaleSpec,
                                 timescale_generating)
 from extphase.errors import (CollisionChartError, DomainEvaluationError,
                              IntegrationStallError)
-from extphase.numkit import IntegratorOptions, integrate, value_of
-from extphase.phase import (ExtendedPoint, extended_rhs, lift,
-                            symplectic_residual)
+from extphase.numkit import IntegratorOptions, grad_raw, integrate, value_of
+from extphase.phase import (ExtendedPoint, extended_rhs, lift, map_jacobian,
+                            symplectic_matrix, symplectic_residual)
 from extphase.transform import apply_generating, restriction_report
 
 # the closed-form collision orbit: e = -1/2, K^2 = 1, x = 1 + cos t'
@@ -271,6 +273,125 @@ def test_ks_symplectic_on_constraint_surface():
         pu = tuple(sum(L[r][c] * p_phys[c] for c in range(3))
                    for r in range(4))
         assert ks_symplectic_residual(u, pu) < 1e-10
+
+
+# the KS canonicity check's kernel: ks_symplectic_residual's map Jacobian
+# and constraint gradient run on one kernel per TimeScaleSpec, traced at the
+# first point; it must give the Dual path's bits, and where a guard fails
+# the Dual path's own result or error
+
+
+def _dual_path_residual(u, pu, tprime, spec):
+    """ks_symplectic_residual from phase.map_jacobian over ks_extended_map
+    and grad_raw of the constraint: the Dual path the kernel is traced
+    from."""
+    M = map_jacobian(lambda z: ks_extended_map(z, spec),
+                     ExtendedPoint(q=u, p=pu, t=tprime, e=0.0))
+    J = symplectic_matrix(4)
+    R = M.T @ J @ M - J
+    _, dC = grad_raw(lambda z: ks_bilinear(z[:4], z[4:]), [*u, *pu])
+    grad = np.array([*dC[:4], 0.0, *dC[4:], 0.0])
+    nrm = np.linalg.norm(grad)
+    if nrm < 1e-14:
+        raise CollisionChartError("constraint gradient vanishes (u = pu = 0)")
+    grad /= nrm
+    basis = np.linalg.svd(np.outer(grad, grad))[0][:, 1:]
+    return float(np.max(np.abs(basis.T @ R @ basis)))
+
+
+def _ks_outcome(residual, *args):
+    """The residual's bits, or its error's type and message."""
+    try:
+        return residual(*args).hex()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+# kept across draws, so that later draws run on the kernel of the first
+_SQUARE_XI = TimeScaleSpec(xi=lambda t: 1.0 + t * t)
+_KS_UNIT = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+_KS_POINT = (0.9, -0.4, 0.7, 0.2), (0.3, -0.8, 0.5, 0.1)
+
+
+@given(st.lists(_KS_UNIT, min_size=4, max_size=4),
+       st.lists(_KS_UNIT, min_size=4, max_size=4), _KS_UNIT,
+       st.sampled_from(["unit", "square"]))
+# |t'| = 0.5 is where the quadrature goes from 4 panels to 5
+@example([0.9, -0.4, 0.7, 0.2], [0.3, -0.8, 0.5, 0.1], 0.5, "unit")
+@example([0.9, -0.4, 0.7, 0.2], [0.3, -0.8, 0.5, 0.1], -0.5, "square")
+@settings(max_examples=60, deadline=None)
+def test_ks_kernel_matches_dual_path(u, pu, tprime, xi):
+    # under xi = 1 the default spec, which the CLI's check uses
+    args = (tuple(u), tuple(pu), tprime)
+    if xi == "unit":
+        got = _ks_outcome(ks_symplectic_residual, *args)
+        want = _ks_outcome(_dual_path_residual, *args, TimeScaleSpec(
+            xi=lambda t: 1.0))
+    else:
+        got = _ks_outcome(ks_symplectic_residual, *args, _SQUARE_XI)
+        want = _ks_outcome(_dual_path_residual, *args, _SQUARE_XI)
+    assert got == want
+
+
+def test_ks_kernel_is_traced_once_per_spec(jacobian_calls):
+    spec = TimeScaleSpec(xi=lambda t: 1.0 + t * t)
+    for tprime in (0.0, 0.2, -0.4):
+        ks_symplectic_residual(*_KS_POINT, tprime, spec)
+    # one seeding, over leaves, when the first call traces the kernel
+    assert len(jacobian_calls) == 1
+    # 5 panels at |t'| >= 0.5: the panel-count guard fails, and the call
+    # seeds the Dual path
+    ks_symplectic_residual(*_KS_POINT, 0.7, spec)
+    assert len(jacobian_calls) == 2
+    # another spec traces its own kernel
+    ks_symplectic_residual(*_KS_POINT, 0.0, TimeScaleSpec(xi=spec.xi))
+    assert len(jacobian_calls) == 3
+
+
+def test_ks_kernel_raises_at_u_zero_first_call_or_not(jacobian_calls):
+    spec = TimeScaleSpec(xi=lambda t: 1.0)
+    zero = (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(CollisionChartError, match="u = 0"):
+        ks_symplectic_residual(*zero, 0.0, spec)
+    # a first call that raises keeps no kernel: the next call traces it
+    jacobian_calls.clear()
+    want = _dual_path_residual(*_KS_POINT, 0.0, spec)
+    jacobian_calls.clear()
+    assert ks_symplectic_residual(*_KS_POINT, 0.0, spec).hex() == want.hex()
+    assert len(jacobian_calls) == 1
+    with pytest.raises(CollisionChartError, match="u = 0"):
+        ks_symplectic_residual(*zero, 0.0, spec)
+
+
+def test_ks_kernel_nonpositive_xi_raises_like_dual_path():
+    # xi = t - 5 is negative on every quadrature interval from 0, so no
+    # kernel is ever kept; xi = t + 0.2 traces at t' = 0.3 and fails its xi
+    # guard at t' = -0.3, with the same panel count
+    for xi, first, tprime in ((lambda t: t - 5.0, None, 0.3),
+                              (lambda t: t + 0.2, 0.3, -0.3)):
+        spec = TimeScaleSpec(xi=xi)
+        if first is not None:
+            ks_symplectic_residual(*_KS_POINT, first, spec)
+        with pytest.raises(DomainEvaluationError) as want:
+            _dual_path_residual(*_KS_POINT, tprime, spec)
+        for _ in range(2):
+            with pytest.raises(DomainEvaluationError,
+                               match="not positive") as got:
+                ks_symplectic_residual(*_KS_POINT, tprime, spec)
+            assert str(got.value) == str(want.value)
+
+
+def test_ks_kernel_is_freed_with_its_spec():
+    # the kernel is guarded, so it holds its Dual code for the fallback, and
+    # that code holds the spec: a cycle that the garbage collector frees
+    refs = []
+    for _ in range(20):
+        spec = TimeScaleSpec(xi=lambda t: 1.0)
+        ks_symplectic_residual(*_KS_POINT, 0.0, spec)
+        refs.append(weakref.ref(spec))
+    del spec
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_regularized_flow_matches_direct_before_collision():

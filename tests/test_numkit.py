@@ -1,11 +1,13 @@
 """Dual arithmetic, linear/Newton solvers, quadrature, trajectories, integrator."""
 
+import gc
 import math
 import operator
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -738,8 +740,9 @@ def test_dual_kernel_matches_per_slot_reference(tree, point):
 
 
 # ---------------------------------------------------------------------------
-# traced kernels: numkit.trace records the Dual code once; the compiled
-# kernel must reproduce it bit for bit, or the trace must give up
+# traced kernels: numkit.trace records the Dual code once, at the values of
+# one call; the compiled kernel must reproduce it bit for bit, run fn itself
+# where a guard fails, or the trace must give up
 # ---------------------------------------------------------------------------
 
 
@@ -758,11 +761,16 @@ def _flat(out):
 
 
 @given(_traceable_trees, st.lists(finite, min_size=4, max_size=4),
+       st.none() | st.lists(finite, min_size=4, max_size=4),
        st.integers(0, 3), st.booleans())
 # an unseeded numpy scalar times a Dual: numpy hands the Dual a Python float
-@example(("mul", ("var", 1), ("var", 0)), [0.0, 1.0, 0.0, 0.0], 1, True)
+@example(("mul", ("var", 1), ("var", 0)), [0.0, 1.0, 0.0, 0.0], None, 1,
+         True)
+# traced at 1, run at 0: an unguarded kernel raises the field's error there
+@example(("div", ("const", 3.0), ("var", 0)), [0.0, 1.0, 1.0, 1.0],
+         [1.0, 1.0, 1.0, 1.0], 0, False)
 @settings(max_examples=300, deadline=None)
-def test_traced_kernel_matches_grad_raw(tree, point, order, numpy_args):
+def test_traced_kernel_matches_grad_raw(tree, point, at, order, numpy_args):
     def field(x):
         def f(v):
             return _evaluate(tree, KERNEL, v)
@@ -770,61 +778,186 @@ def test_traced_kernel_matches_grad_raw(tree, point, order, numpy_args):
         return (grad_raw(f, x),
                 time_derivatives(lambda t: f([t, *x[1:]]), x[0], order))
 
-    kernel = trace(field, 4)
-    # the same argument objects for both: Python floats or numpy scalars,
-    # whose overflow and NaN warnings are silenced here
-    args = list(np.array(point)) if numpy_args else point
+    # the kernel is traced at `at` (at the point itself if None) and run at
+    # the point; all are Python floats or numpy scalars, whose overflow and
+    # NaN warnings are silenced here
+    def scalars(p):
+        return list(np.array(p)) if numpy_args else p
+
+    args = scalars(point)
+    traced = args if at is None else scalars(at)
     with np.errstate(all="ignore"):
+        try:
+            field(traced)
+        except Exception as exc:
+            # traced where the field raises, the trace raises its error
+            with pytest.raises(type(exc)):
+                trace(field, traced)
+            kernel = None
+        else:
+            kernel = trace(field, traced)
+            assert kernel is not field
         try:
             want = field(args)
         except Exception as exc:
-            # a trace may fail on an error that no input avoids (1.0 / 0.0)
-            if kernel is not field:
+            # where the field raises, the kernel raises the same error type
+            if kernel is not None:
                 with pytest.raises(type(exc)):
                     kernel(args)
             return
-        assert kernel is not field
+        if kernel is None:
+            kernel = trace(field, args)
         got = kernel(args)
     # bit for bit, and of the same type (the int 0 of sum() stays an int)
     assert [(type(v), float(v).hex()) for v in _flat(got)] \
         == [(type(v), float(v).hex()) for v in _flat(want)]
 
 
-@pytest.mark.parametrize("field", [
-    lambda v: v[0] * v[1] if v[0] < v[1] else v[1],
-    lambda v: abs(v[0]) * v[1],
-    lambda v: value_of(v[0]) * v[1],
-    lambda v: float(v[0].val) * v[1],
-    lambda v: v[0] * v[1] if v[0].val else v[1],
-    lambda v: sqrt(v[0]) * v[1],
-    lambda v: log(v[0]) * v[1],
-    lambda v: v[0] ** 1.5 * v[1],
-    lambda v: v[0] ** v[1],
-], ids=["comparison", "abs", "value_of", "float", "bool", "sqrt", "log",
-        "non-integer power", "dual power"])
-def test_trace_aborts_on_value_dependent_steps(field):
+def _outcome(fn, x):
+    """fn(x)'s types and bits, or its error's type and message."""
+    try:
+        return [(type(v), float(v).hex()) for v in _flat(fn(x))]
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("field, across", [
+    (lambda v: v[0] * v[1] if v[0] < v[1] else v[1], [5.0, 3.0]),
+    (lambda v: abs(v[0]) * v[1], [-2.0, 3.0]),
+    (lambda v: value_of(v[0]) * v[1], [-2.0, 3.0]),
+    (lambda v: v[1] / value_of(v[0]), [0.0, 3.0]),
+    (lambda v: float(v[0].val) * v[1], None),
+    (lambda v: v[0] * v[1] if v[0].val else v[1], None),
+    (lambda v: sqrt(v[0]) * v[1], [-2.0, 3.0]),
+    (lambda v: log(v[0]) * v[1], [-2.0, 3.0]),
+    (lambda v: v[0] ** 1.5 * v[1], None),
+    (lambda v: v[0] ** v[1], None),
+], ids=["comparison", "abs", "value_of", "value_of divisor", "float",
+        "bool", "sqrt", "log", "non-integer power", "dual power"])
+def test_trace_aborts_on_value_dependent_steps(field, across):
+    # float(), bool() and a power whose exponent is not a constant integer
+    # end the trace; a comparison (in Dual.__abs__ too) and the domain
+    # checks of sqrt and log are guards, and value_of of a leaf converts it
+    # in the kernel as in fn (numpy scalars become Python floats, and a
+    # division by that zero raises)
     def fn(x):
         return grad_raw(field, x)
 
-    assert trace(fn, 2) is fn
-    # the Dual path runs as before
-    val, g = grad_raw(field, [2.0, 3.0])
-    assert math.isfinite(value_of(val)) and len(g) == 2
+    # Python floats, then numpy scalars
+    for scalars in (list, lambda p: list(np.array(p))):
+        x = scalars([2.0, 3.0])
+        kernel = trace(fn, x)
+        if across is None:
+            assert kernel is fn
+            # the Dual path runs as before
+            val, g = fn(x)
+            assert math.isfinite(value_of(val)) and len(g) == 2
+            continue
+        assert kernel is not fn
+        with np.errstate(all="ignore"):
+            assert _outcome(kernel, x) == _outcome(fn, x)
+            # across the guard the call runs fn: its result, or its error
+            y = scalars(across)
+            assert _outcome(kernel, y) == _outcome(fn, y)
+
+
+def test_traced_kernel_error_runs_fn():
+    def fn(x):
+        return grad_raw(lambda v: sqrt(v[0]) * v[1], x)
+
+    kernel = trace(fn, [2.0, 3.0])
+    assert kernel is not fn
+    # sqrt's derivative at 0 divides by zero inside the kernel: the call
+    # runs fn, which raises its typed error, not a bare ZeroDivisionError
+    with pytest.raises(DomainEvaluationError, match="derivative of sqrt"):
+        kernel([0.0, 3.0])
+    # traced where fn raises, the trace raises fn's error
+    with pytest.raises(DomainEvaluationError, match="derivative of sqrt"):
+        trace(fn, [0.0, 3.0])
 
 
 def test_trace_aborts_on_long_tapes_and_non_scalar_outputs(monkeypatch):
     def field(x):
         return grad_raw(lambda v: sum(a * a for a in v), x)
 
-    assert trace(field, 3) is not field
+    x = [1.0, 2.0, 3.0]
+    assert trace(field, x) is not field
     monkeypatch.setattr(numkit, "TRACE_MAX_OPS", 10)
-    assert trace(field, 3) is field
+    assert trace(field, x) is field
     monkeypatch.undo()
-    # a Dual or a numpy array in the output has no straight-line form, and
-    # an exception over the leaves gives up too; the Dual path raises it
-    for fn in (lambda x: [Dual(x[0], (1.0,))], lambda x: np.array([1.0]),
-               lambda x: x[0] * (1.0 / 0.0)):
-        assert trace(fn, 1) is fn
+    # a Dual or a numpy array in the output has no straight-line form
+    for fn in (lambda x: [Dual(x[0], (1.0,))], lambda x: np.array([1.0])):
+        assert trace(fn, [1.0]) is fn
+    # an error that fn raises at the traced values is raised by the trace
+    with pytest.raises(ZeroDivisionError):
+        trace(lambda x: x[0] * (1.0 / 0.0), [1.0])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_long_kernels_compile_in_chunks(monkeypatch, chunk):
+    # a tape of more than _TRACE_CHUNK lines compiles as a chain of
+    # functions: the same bits, and a failing guard in any chunk runs fn
+    def plain(x):
+        return grad_raw(lambda v: sin(v[0]) * v[1] + v[0] * cos(v[1]), x)
+
+    def guarded(x):
+        return grad_raw(lambda v: sqrt(v[0]) * v[1] if v[1] < 2.0
+                        else v[0] * v[1], x)
+
+    monkeypatch.setattr(numkit, "_TRACE_CHUNK", chunk)
+    for fn, points in ((plain, [[0.5, -1.5], [2.0, 0.25]]),
+                       (guarded, [[0.5, 1.5], [3.0, 0.25], [0.5, 2.5],
+                                  [-1.0, 0.5], [0.0, 0.5]])):
+        kernel = trace(fn, points[0])
+        assert any(name.startswith("_c") for name in kernel.__globals__)
+        for x in points:
+            assert _outcome(kernel, x) == _outcome(fn, x)
+
+
+def test_traced_kernels_hold_fn_only_for_a_fallback():
+    # once traced, a kernel without guards holds no reference to fn, so an
+    # owner that keeps the kernel and that fn refers to is freed without the
+    # cyclic collector; a guarded kernel holds fn for its fallback
+    def make(guarded):
+        def fn(x):
+            return grad_raw(lambda v: v[0] * v[1] if not guarded
+                            or v[0] < v[1] else v[1], x)
+        return fn
+
+    gc.disable()
+    try:
+        for guarded in (False, True):
+            fn = make(guarded)
+            call = numkit._trace_on_first_call(fn)
+            assert _outcome(call, [2.0, 3.0]) == _outcome(fn, [2.0, 3.0])
+            ref = weakref.ref(fn)
+            del fn
+            assert (ref() is not None) is guarded
+            del call
+            gc.collect()
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_guards_count_against_trace_max_ops(monkeypatch):
+    def plain(x):
+        return grad_raw(lambda v: v[0] * v[1], x)
+
+    def guarded(x):
+        # a comparison of the leaves themselves: a guard and no conversion
+        return grad_raw(lambda v: v[0] * v[1] if v[0].val < v[1].val
+                        else v[1], x)
+
+    x = [2.0, 3.0]
+    for limit in range(1, 100):
+        monkeypatch.setattr(numkit, "TRACE_MAX_OPS", limit)
+        if trace(plain, x) is not plain:
+            break
+    # the same operations and one guard: one line over the limit
+    assert trace(guarded, x) is guarded
+    monkeypatch.setattr(numkit, "TRACE_MAX_OPS", limit + 1)
+    assert trace(guarded, x) is not guarded
 
 
 # ---------------------------------------------------------------------------

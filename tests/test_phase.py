@@ -104,7 +104,8 @@ def test_propagate_negative_k_runs_time_backwards():
 
 def test_propagate_traced_run_matches_dual_path():
     # the H-gradient of propagate is a kernel traced from grad_raw; a
-    # comparison in H aborts the trace, so the second run takes the Dual path
+    # comparison in H is a guard of that kernel, while float() of a value
+    # aborts the trace, so the last run takes the Dual path
     from extphase import numkit
     from extphase.numkit import cos, exp
 
@@ -112,21 +113,26 @@ def test_propagate_traced_run_matches_dual_path():
         return 0.5 * exp(-0.1 * t) * p[0] ** 2 + 0.5 * (1.0 + 0.2 * cos(t)) \
             * q[0] ** 2 + 0.25 * q[0] ** 4
 
-    def H_untraced(q, p, t):
+    def H_guarded(q, p, t):
         return H(q, p, t) if t < math.inf else math.nan
+
+    def H_untraced(q, p, t):
+        return H(q, p, t) if math.isfinite(value_of(t)) else math.nan
 
     par = Parameterization(k=lambda s, pt: 1.0 + 0.5 * math.sin(s))
     runs = []
-    for h in (H, H_untraced):
+    for h in (H, H_guarded, H_untraced):
         sys = HamiltonianSystem(n=1, H=h)
         def grad(x):
             return numkit.grad_raw(lambda v: h(v[:1], v[1:2], v[2]), x)
 
-        assert (numkit.trace(grad, 3) is grad) == (h is H_untraced)
+        assert (numkit.trace(grad, [0.9, -0.3, 0.2]) is grad) \
+            == (h is H_untraced)
         runs.append(propagate(lift((0.9,), (-0.3,), 0.2, sys), sys, par,
                               (0.0, 3.0)))
-    assert runs[0].states.tobytes() == runs[1].states.tobytes()
-    assert runs[0].derivs.tobytes() == runs[1].derivs.tobytes()
+    for run in runs[1:]:
+        assert run.states.tobytes() == runs[0].states.tobytes()
+        assert run.derivs.tobytes() == runs[0].derivs.tobytes()
 
 
 @given(coord, coord, coord, coord)

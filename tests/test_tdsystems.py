@@ -241,8 +241,8 @@ def test_transfer_matrix_evaluates_potential_once_per_rhs(monkeypatch):
         return 0.5 * (1.0 + 0.1 * sin(t)) * q[0] ** 2
 
     def V_untraced(q, t):
-        # the comparison needs a value, so the trace aborts before V runs
-        return V(q, t) if t < math.inf else math.nan
+        # float() of a value aborts the trace before V runs
+        return V(q, t) if math.isfinite(value_of(t)) else math.nan
 
     integrate = numkit.integrate
 
@@ -287,9 +287,10 @@ def test_oscillator_coupled_run_checks_dimensions():
 
 
 def _untraced(fn):
-    """fn behind a comparison that is always true: it needs a value, so a
-    trace through it aborts and the run keeps the Dual path."""
-    return lambda *args: fn(*args) if args[-1] < math.inf else math.nan
+    """fn behind a float() of its last argument's value: a trace through it
+    aborts and the run keeps the Dual path."""
+    return lambda *args: fn(*args) if math.isfinite(value_of(args[-1])) \
+        else math.nan
 
 
 def _same_run(a, b):
@@ -303,8 +304,8 @@ def test_oscillator_traced_run_matches_dual_path():
     dual = OscillatorSpec(n=2, omega2=_untraced(spec.omega2), F=spec.F)
     traced, untraced = (lambda x: spec.coefficients(x[0]),
                         lambda x: dual.coefficients(x[0]))
-    assert numkit.trace(traced, 1) is not traced
-    assert numkit.trace(untraced, 1) is untraced
+    assert numkit.trace(traced, [0.0]) is not traced
+    assert numkit.trace(untraced, [0.0]) is untraced
     xi0 = XiState(xi=1.0, xidot=0.0, xiddot=0.0)
     args = ((0.3, -0.8), (0.5, 0.2), xi0, (0.0, 3.0))
     _same_run(oscillator_coupled_run(spec, *args),
@@ -322,8 +323,8 @@ def test_transfer_matrix_traced_run_matches_dual_path():
     spec, dual = PotentialSpec(2, V), PotentialSpec(2, _untraced(V))
     traced, untraced = (lambda x: spec.derivatives(x[:2], x[2]),
                         lambda x: dual.derivatives(x[:2], x[2]))
-    assert numkit.trace(traced, 3) is not traced
-    assert numkit.trace(untraced, 3) is untraced
+    assert numkit.trace(traced, [1.0, -0.4, 0.0]) is not traced
+    assert numkit.trace(untraced, [1.0, -0.4, 0.0]) is untraced
     args = ((1.0, -0.4), (0.5, 0.3), (0.0, 3.0))
     _same_run(transfer_matrix(spec, *args)[0], transfer_matrix(dual, *args)[0])
 
@@ -417,9 +418,9 @@ def test_cli_oscillator_spec_traces(monkeypatch):
     traced = []
     trace = numkit.trace
 
-    def recorded(fn, m):
-        kernel = trace(fn, m)
-        traced.append((m, kernel is not fn))
+    def recorded(fn, x):
+        kernel = trace(fn, x)
+        traced.append((len(x), kernel is not fn))
         return kernel
 
     monkeypatch.setattr(numkit, "trace", recorded)
