@@ -10,6 +10,7 @@ the conventional ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -21,13 +22,25 @@ from .phase import HamiltonianSystem
 
 @dataclass(frozen=True)
 class LagrangianSystem:
-    """A conventional Lagrangian L(q, qdot, t) of dimension n."""
+    """A conventional Lagrangian L(q, qdot, t) of dimension n.
+
+    At float points, L1 and L1's full gradient come from one kernel that
+    the system keeps, traced from `_l1_seeded` at the first such point.
+    The dt/ds = 0 test of `extended_lagrangian` is one of its guards, so
+    there the kernel runs the Dual code, which raises `DegenerateTimeError`.
+    """
 
     n: int
     L: object  # callable (q, qdot, t) -> scalar
 
     def __call__(self, q, qdot, t):
         return self.L(q, qdot, t)
+
+    @cached_property
+    def _l1_kernel(self):
+        """`_l1_seeded` of this system on the kernel traced at the first
+        point it is called with: the kernel lives as long as the system."""
+        return numkit._trace_on_first_call(partial(_l1_seeded, self))
 
 
 @dataclass(frozen=True)
@@ -58,20 +71,26 @@ def extended_lagrangian(sys: LagrangianSystem, pt: ExtendedVelocityPoint):
     return sys.L(pt.q1[:n], qdot, pt.q1[n]) * dt_ds
 
 
-def _l1_velocity_gradient(sys, pt):
-    n = sys.n
+def _l1_seeded(sys, z):
+    """(L1, its gradient) at the flat z = (q1.., v1..), by one seeding."""
+    m = sys.n + 1
+    return numkit.grad_raw(lambda w: extended_lagrangian(
+        sys, ExtendedVelocityPoint(q1=w[:m], v1=w[m:])), z)
 
-    def f(v):
-        return extended_lagrangian(
-            sys, ExtendedVelocityPoint(q1=pt.q1, v1=tuple(v)))
 
-    return numkit.grad_raw(f, list(pt.v1))
+def _l1_gradient(sys, z):
+    """(L1, its gradient) at the flat z = (q1.., v1..): on the system's
+    kernel at a float point, else by seeding."""
+    return sys._l1_kernel(z) if numkit._floats(z) else _l1_seeded(sys, z)
 
 
 def homogeneity_residual(sys: LagrangianSystem, pt: ExtendedVelocityPoint, c):
     """(|L1(q1, c v1) - c L1(q1, v1)|, |L1 - sum_i dL1/dv_i v_i|).
 
-    Both vanish identically for first-order homogeneous L1.
+    Both vanish identically for first-order homogeneous L1.  At a float
+    point the second reads L1 and its gradient off the system's kernel;
+    the first evaluates L1 plainly at both points, since the seeded L1
+    can differ from it in the last bits.
     """
     if value_of(c) == 0:
         raise ValueError("c must be nonzero")
@@ -80,8 +99,9 @@ def homogeneity_residual(sys: LagrangianSystem, pt: ExtendedVelocityPoint, c):
         sys, ExtendedVelocityPoint(q1=pt.q1,
                                    v1=tuple(c * v for v in pt.v1)))
     scale_res = abs(value_of(scaled - c * l1))
-    val, grad = _l1_velocity_gradient(sys, pt)
-    euler_res = abs(value_of(val - sum(g * v for g, v in zip(grad, pt.v1))))
+    val, grad = _l1_gradient(sys, [*pt.q1, *pt.v1])
+    dv = grad[sys.n + 1:]
+    euler_res = abs(value_of(val - sum(g * v for g, v in zip(dv, pt.v1))))
     return scale_res, euler_res
 
 
@@ -90,13 +110,14 @@ def legendre_to_h1(sys: LagrangianSystem, pt: ExtendedVelocityPoint):
 
     Returns (p, p_np1, h1) with p_i = dL1/d(dq_i/ds), p_np1 = dL1/d(dt/ds)
     = -H(q, p, t), and h1 = sum p_i v_i - L1, which is identically zero by
-    homogeneity and equals (H + p_np1) dt/ds.
+    homogeneity and equals (H + p_np1) dt/ds.  At a float point L1 and the
+    momenta are read off the system's kernel.
     """
     n = sys.n
-    val, grad = _l1_velocity_gradient(sys, pt)
-    p = tuple(grad[:n])
-    p_np1 = grad[n]
-    h1 = sum(g * v for g, v in zip(grad, pt.v1)) - val
+    val, grad = _l1_gradient(sys, [*pt.q1, *pt.v1])
+    p = tuple(grad[n + 1:2 * n + 1])
+    p_np1 = grad[2 * n + 1]
+    h1 = sum(g * v for g, v in zip(grad[n + 1:], pt.v1)) - val
     return p, value_of(p_np1), value_of(h1)
 
 
@@ -126,18 +147,6 @@ def paired_hamiltonian(sys: LagrangianSystem) -> HamiltonianSystem:
     return HamiltonianSystem(n=n, H=H, description="Legendre pair")
 
 
-def _l1_full_gradient(sys, q1, v1):
-    n = sys.n
-    m = n + 1
-
-    def f(z):
-        return extended_lagrangian(
-            sys, ExtendedVelocityPoint(q1=tuple(z[:m]), v1=tuple(z[m:])))
-
-    _, g = numkit.grad_raw(f, list(q1) + list(v1))
-    return g[:m], g[m:]
-
-
 _EL_SAMPLES = 20  # interior points probed by euler_lagrange_residual
 _EL_STEP = 1e-5  # its central-difference step, as a fraction of the span
 
@@ -151,7 +160,8 @@ def euler_lagrange_residual(sys: LagrangianSystem, traj):
     central difference, the package's one finite difference.  Accuracy is
     set by the interpolant's second derivative, which that difference
     takes: about 1e-8 on an exact orbit tabulated at 6001 points of [0, 3].
-    Returns (max extended residual, max conventional residual) over
+    L1's gradient at the dense output's numpy scalars runs on the system's
+    kernel.  Returns (max extended residual, max conventional residual) over
     interior sample points.
     """
     n = sys.n
@@ -162,22 +172,19 @@ def euler_lagrange_residual(sys: LagrangianSystem, traj):
     step = _EL_STEP * abs(span)
 
     def momenta(s):
-        q1 = tuple(traj.interpolate(s))
-        v1 = tuple(traj.derivative(s))
-        _, gv = _l1_full_gradient(sys, q1, v1)
-        return np.array([value_of(x) for x in gv])
+        _, g = _l1_gradient(sys, [*traj.interpolate(s), *traj.derivative(s)])
+        return np.array([value_of(x) for x in g[m:]])
 
     ext_max = 0.0
     conv_max = 0.0
     for s in pts:
-        q1 = tuple(traj.interpolate(s))
-        v1 = tuple(traj.derivative(s))
-        gq, _ = _l1_full_gradient(sys, q1, v1)
+        z = [*traj.interpolate(s), *traj.derivative(s)]
+        _, g = _l1_gradient(sys, z)
         dmds = (momenta(s + step) - momenta(s - step)) / (2.0 * step)
-        ext = dmds - np.array([value_of(x) for x in gq])
+        ext = dmds - np.array([value_of(x) for x in g[:m]])
         ext_max = max(ext_max, float(np.max(np.abs(ext))))
         # conventional bracket: the first n extended equations divided by dt/ds
-        dt_ds = value_of(v1[n])
+        dt_ds = value_of(z[-1])
         if dt_ds != 0:
             conv_max = max(conv_max,
                            float(np.max(np.abs(ext[:n] / dt_ds))))

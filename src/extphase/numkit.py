@@ -319,6 +319,12 @@ TRACE_MAX_OPS = 10000
 
 _SCALARS = (int, float)  # float takes in np.float64
 
+
+def _floats(values):
+    """Whether every entry is a plain scalar: the arguments a kernel takes."""
+    return all(isinstance(v, _SCALARS) for v in values)
+
+
 # the compiler's transient memory grows by a few kB per line it compiles, so
 # a kernel of more lines is compiled in chunks of this many
 _TRACE_CHUNK = 256
@@ -503,13 +509,17 @@ def trace(fn, x):
         code = template.format(*map(ref, args))
         return f"{out} = {code}" if out else f"if {code}: raise _GuardMiss"
 
+    # the leaves hold the tape and the tape holds them: each return empties
+    # it, so that reference counting frees them, not the cyclic collector
     leaves = [_Leaf(tape, f"x{i}", v) for i, v in enumerate(x)]
     returned = set()  # the names of the leaves fn returns
     try:
         ret = emit(fn(leaves))
     except _TraceAbort:
+        tape.clear()
         return fn
     except Exception:
+        tape.clear()
         # fn's own error at x, which fn raises again; if it does not, the
         # error came from a leaf (such as a numpy ufunc of one)
         fn(x)
@@ -545,6 +555,7 @@ def trace(fn, x):
     else:
         lines += ["    " + b for b in body]
     exec(compile("\n".join(lines), "<trace>", "exec"), names)
+    tape.clear()
     return names["kernel"]
 
 
@@ -581,8 +592,7 @@ def residual_binder(res, k, m):
     kernel = _trace_on_first_call(jacobian)
 
     def bind(params):
-        J = kernel if all(isinstance(v, _SCALARS) for v in params) \
-            else jacobian
+        J = kernel if _floats(params) else jacobian
         return lambda u: J([*params, *u])
 
     return bind
@@ -937,12 +947,14 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
 
     The method is DOP853, the 12-stage Dormand-Prince pair of order 8 with
     embedded 5th- and 3rd-order estimates (Hairer, Norsett & Wanner,
-    *Solving ODEs I*, II.10), in one loop; its 13th evaluation, at y8, is
-    the next step's first stage.  Each stage sum is one product of its
-    tableau row with the stages before it: ``ndarray.dot`` for rows of
-    length 2 and more and for the error rows, ``@`` for the length-1 row of
-    stage 2 (where ``dot`` would give -0.0 for a sum that ``@`` gives as
-    0.0).  With e5 = (_E5 @ K) / scale and e3 = (_E3 @ K) / scale, where
+    *Solving ODEs I*, II.10), in one loop; its 13th evaluation, at y8, runs
+    only once a step is accepted, and is the next step's first stage (a
+    non-finite one rejects the step as a failed stage does).  Each stage
+    sum, y8's included, is one product of its tableau row with the stages
+    before it: ``ndarray.dot`` for rows of length 2 and more and for the
+    error rows, ``@`` for the length-1 row of stage 2 (where ``dot`` would
+    give -0.0 for a sum that ``@`` gives as 0.0).  With e5 = (_E5 @ K) /
+    scale and e3 = (_E3 @ K) / scale, where
     scale = abs_tol + rel_tol * max(|y|, |y8|), the error is HNW's combined
     estimate err = |h| sum(e5^2) / sqrt((sum(e5^2) + 0.01 sum(e3^2)) m),
     formed in place with |y| from the step before, and the next step is h
@@ -970,15 +982,17 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
             direction = 1.0 if s1 > s0 else -1.0
             s = s0
             K = np.empty((13, m))
-            # stages 1..12, which the error estimates read
-            K12 = K[:12]
-            # stage i: its time fraction, its tableau row's product with the
-            # stages it reads (views of K), the row of K it fills, and that
-            # row's dot for the finiteness check; dot is the cheaper call
-            # with the bits of @ for rows of length >= 2, not for length 1
+            # stages 1..12, which y8 and the error estimates read, and the
+            # 13th evaluation, at y8
+            K12, K13 = K[:12], K[12]
+            # stage i + 1 of 2..12: its time fraction, its tableau row's
+            # product with the stages it reads (views of K), the row of K it
+            # fills, and that row's dot for the finiteness check; dot is the
+            # cheaper call with the bits of @ for rows of length >= 2, not
+            # for length 1
             stages = [(_C[i], (_ROWS[i].dot if i >= 2 else
                                _ROWS[i].__matmul__), K[:i], K[i], K[i].dot)
-                      for i in range(1, 13)]
+                      for i in range(1, 12)]
             # K[i].dot(zeros) is NaN exactly when K[i] holds an inf or a
             # NaN, since 0 * inf and 0 * nan are NaN
             zeros = np.zeros(m)
@@ -1014,6 +1028,10 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
                         if not math.isfinite(Ki_dot(zeros)):
                             break
                     else:
+                        # y8, from the last row, in place as the stages are
+                        yi = _ROWS[12].dot(K12)
+                        yi *= hn
+                        yi += y
                         # scale = abs_tol + rel_tol * max(|y|, |y8|), and
                         # the sums of squares of e5 and e3, in place
                         ayi = np.abs(yi)
@@ -1034,14 +1052,21 @@ def integrate(rhs, y0, s0, s1, opts=None, labels=None):
                             if 0 < den < math.inf \
                             else 0.0 if den == 0 else math.inf
                     if err <= 1.0:
-                        s = s1 if abs(s1 - (s + h)) < 1e-14 * abs(s1 - s0) \
-                            else s + h
-                        y = yi  # the input of the last stage is y8
-                        ay = ayi
-                        K[0] = K[12]  # FSAL
-                        ss.append(s)
-                        ys.append(y)
-                        fs.append(K[0].copy())
+                        # the 13th evaluation, at y8 and only once the step
+                        # is accepted, is the next step's first stage (FSAL);
+                        # a non-finite one rejects the step after all
+                        K13[...] = rhs(s + h, yi)
+                        if math.isfinite(K13.dot(zeros)):
+                            s = s1 if abs(s1 - (s + h)) \
+                                < 1e-14 * abs(s1 - s0) else s + h
+                            y = yi
+                            ay = ayi
+                            K[0] = K13
+                            ss.append(s)
+                            ys.append(y)
+                            fs.append(K[0].copy())
+                        else:
+                            err = math.inf
                     # a failed stage or a non-finite error (NaN or inf) shrinks by 0.2
                     factor = 0.9 * err ** -0.125 if 0 < err < math.inf \
                         else 5.0 if err == 0 else 0.2

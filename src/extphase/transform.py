@@ -67,7 +67,7 @@ class GeneratingFunction:
         """(dF/d(unprimed pair), dF/d(primed pair), d^2 F / d(unprimed)
         d(primed)) at params, the two pairs of F's kind and s, flat.  At
         float params they run on the kernel F keeps."""
-        if _floats(params):
+        if numkit._floats(params):
             return self._kernel(params)
         return self._seeded(params)
 
@@ -90,10 +90,6 @@ class GeneratingFunction:
 
         values, rows = numkit.jacobian_raw(gradient, params[m:2 * m])
         return values[1:], rows[0], rows[1:]
-
-
-def _floats(values):
-    return all(isinstance(v, (int, float)) for v in values)
 
 
 @dataclass(frozen=True)

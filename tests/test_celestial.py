@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from extphase import numkit
 from extphase.celestial import (KeplerSpec, TimeScaleSpec,
                                 kepler_direct, kepler_regularized,
                                 ks_bilinear, ks_extended_map, ks_generating,
@@ -89,6 +90,23 @@ def test_direct_integration_stalls_at_collision():
         assert traj.labels == ("x", "p", "e")
         clear = traj.column("x") > 0.05
         assert np.max(np.abs(traj.column("e")[clear] - spec.energy)) < 1e-10
+
+
+def test_default_direct_run_evaluates_no_rejected_fsal_stage(monkeypatch):
+    # the default kepler-direct run stalls at the collision; its rejected
+    # steps skip the 13th DOP853 evaluation, which only an accepted step
+    # needs: 4,273 RHS calls, against 4,393 when every step made it
+    calls = []
+    run = numkit.integrate
+
+    def counted(rhs, *args, **kwargs):
+        return run(lambda s, y: calls.append(s) or rhs(s, y), *args, **kwargs)
+
+    monkeypatch.setattr(numkit, "integrate", counted)
+    with pytest.raises(IntegrationStallError):
+        kepler_direct(KeplerSpec(K2=1.0, x0=1.0, p0=0.0), (0.0, 3.0),
+                      IntegratorOptions())
+    assert len(calls) == 4273
 
 
 def test_direct_energy_column():

@@ -1,13 +1,15 @@
 """Extended Lagrangian: homogeneity, Legendre transform, Euler-Lagrange."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extphase import numkit
+from extphase import lagrangian, numkit
 from extphase.errors import DegenerateTimeError
 from extphase.lagrangian import (ExtendedVelocityPoint, LagrangianSystem,
                                  euler_lagrange_residual, extended_lagrangian,
@@ -176,3 +178,100 @@ def test_euler_lagrange_flags_non_solution():
     tr = Trajectory(s=s, states=states, labels=("q1", "t"), derivs=derivs)
     ext_max, _ = euler_lagrange_residual(sys, tr)
     assert ext_max > 0.1
+
+
+# ---------------------------------------------------------------------------
+# the L1 kernel: at float points L1 and its full gradient run on one kernel
+# traced once per system from the Dual code, which dual points keep
+# ---------------------------------------------------------------------------
+
+_rate = st.floats(min_value=0.2, max_value=2.0) | st.floats(
+    min_value=-2.0, max_value=-0.2)
+
+
+def _bits(xs):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [float(value_of(x)).hex() for x in xs]
+
+
+@given(st.lists(_unit, min_size=5, max_size=5), _rate,
+       st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_l1_kernel_matches_dual_path(z, dt_ds, numpy_scalars):
+    # z = (q1, q2, t, dq1/ds, dq2/ds) and dt/ds; the kernel is traced at
+    # another point, and the dense output hands it numpy scalars
+    sys = quartic()
+    sys._l1_kernel([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    z = [*z, dt_ds]
+    if numpy_scalars:
+        z = [np.float64(v) for v in z]
+    val, grad = sys._l1_kernel(z)
+    want_val, want_grad = lagrangian._l1_seeded(sys, z)
+    assert _bits([val, *grad]) == _bits([want_val, *want_grad])
+    # a dual point runs the same Dual code; dividing by a nested dual takes
+    # a power where a float takes 1.0 / x, so values agree to rounding
+    dual_val, dual_grad = lagrangian._l1_gradient(
+        sys, [numkit.Dual(v, (1.0,)) for v in z])
+    assert [value_of(x) for x in [dual_val, *dual_grad]] == pytest.approx(
+        [val, *grad], rel=1e-14, abs=1e-14)
+
+
+def test_l1_kernel_is_traced_once_and_seeds_nothing_after(monkeypatch):
+    traced, seeded = [], []
+    trace, grad_raw = numkit.trace, numkit.grad_raw
+
+    def counted_trace(fn, x):
+        traced.append(x)
+        return trace(fn, x)
+
+    def counted_grad_raw(f, x):
+        seeded.append(x)
+        return grad_raw(f, x)
+
+    monkeypatch.setattr(numkit, "trace", counted_trace)
+    monkeypatch.setattr(numkit, "grad_raw", counted_grad_raw)
+    sys = harmonic()
+    homogeneity_residual(sys, PT, 2.0)
+    assert len(traced) == 1
+    del seeded[:]
+    # probes at other points, Python floats and the dense output's numpy
+    # scalars alike, run on the kernel: no tracing and no seeding
+    pt = ExtendedVelocityPoint(q1=(-0.4, 0.9), v1=(0.3, 0.7))
+    homogeneity_residual(sys, pt, 0.5)
+    legendre_to_h1(sys, pt)
+    euler_lagrange_residual(
+        sys, exact_trajectory(lambda s: s, lambda s: 1.0, m=201))
+    assert len(traced) == 1
+    assert seeded == []
+    # a second system traces its own kernel
+    homogeneity_residual(harmonic(), pt, 0.5)
+    assert len(traced) == 2
+
+
+def test_l1_kernel_raises_degenerate_time_before_and_after_trace():
+    sys = harmonic()
+    stalled = ExtendedVelocityPoint(q1=(1.0, 0.0), v1=(1.0, 0.0))
+    # a first call at dt/ds = 0 raises and traces nothing; the next traces
+    with pytest.raises(DegenerateTimeError):
+        legendre_to_h1(sys, stalled)
+    p, p_np1, h1 = legendre_to_h1(sys, PT)
+    assert value_of(p[0]) == pytest.approx(0.8 / 1.4, abs=1e-13)
+    # the traced kernel's guard hands dt/ds = 0 to the Dual code
+    for probe in (lambda: legendre_to_h1(sys, stalled),
+                  lambda: sys._l1_kernel([np.float64(v) for v in
+                                          (1.0, 0.0, 1.0, 0.0)])):
+        with pytest.raises(DegenerateTimeError):
+            probe()
+
+
+def test_l1_kernel_is_freed_with_its_system():
+    # the kernel is guarded, so it holds its Dual code for the fallback, and
+    # that code holds the system: a cycle that the garbage collector frees
+    refs = []
+    for _ in range(20):
+        sys = harmonic()
+        homogeneity_residual(sys, PT, 2.0)
+        refs.append(weakref.ref(sys))
+    del sys
+    gc.collect()
+    assert all(ref() is None for ref in refs)

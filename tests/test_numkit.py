@@ -940,6 +940,29 @@ def test_traced_kernels_hold_fn_only_for_a_fallback():
         gc.enable()
 
 
+def test_trace_leaves_no_leaf_for_the_cyclic_collector():
+    # the tape and its leaves refer to each other; trace empties the tape on
+    # each return (a kernel, an abort, fn's own error), so reference
+    # counting frees the leaves
+    def field(v):
+        if v[0] < 0.0:
+            raise ValueError("negative")
+        return v[0] * v[1] if v[1] < 5.0 else v[1] ** 0.5
+
+    gc.collect()
+    gc.disable()
+    try:
+        for x in ([2.0, 3.0], [2.0, 7.0], [-1.0, 3.0]):
+            try:
+                trace(lambda v: grad_raw(field, v), x)
+            except ValueError:
+                pass
+            assert not any(isinstance(o, numkit._Leaf)
+                           for o in gc.get_objects())
+    finally:
+        gc.enable()
+
+
 def test_guards_count_against_trace_max_ops(monkeypatch):
     def plain(x):
         return grad_raw(lambda v: v[0] * v[1], x)
@@ -962,8 +985,9 @@ def test_guards_count_against_trace_max_ops(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # reference integrator: the stage loop as it was before the precomputed
-# stage rows, the float stage time and the scalar finiteness checks;
-# integrate must reproduce its samples bit for bit
+# stage rows, the float stage time and the scalar finiteness checks, with
+# the 13th evaluation only after acceptance; integrate must reproduce its
+# samples bit for bit
 # ---------------------------------------------------------------------------
 
 # the stage matrix as one array: row i holds the i coefficients of stage
@@ -987,12 +1011,13 @@ def _reference_integrate(rhs, y0, s0, s1, opts):
         while (s1 - s) * direction > 0:
             h = direction * min(abs(h), abs(s1 - s))
             err = math.inf
-            for i in range(1, 13):
+            for i in range(1, 12):
                 yi = y + h * (_REF_A[i, :i] @ K[:i])
                 K[i] = rhs(s + _REF_C[i] * h, yi)
                 if not np.all(np.isfinite(K[i])):
                     break
             else:
+                yi = y + h * (_REF_A[12] @ K[:12])
                 scale = opts.abs_tol \
                     + opts.rel_tol * np.maximum(np.abs(y), np.abs(yi))
                 n5 = float(np.sum((numkit._E5 @ K[:12] / scale) ** 2))
@@ -1000,6 +1025,10 @@ def _reference_integrate(rhs, y0, s0, s1, opts):
                 den = (n5 + 0.01 * n3) * len(y)
                 err = abs(h) * n5 / math.sqrt(den) if 0 < den < math.inf \
                     else 0.0 if den == 0 else math.inf
+            if err <= 1.0:
+                K[12] = rhs(s + _REF_C[12] * h, yi)
+                if not np.all(np.isfinite(K[12])):
+                    err = math.inf
             if err <= 1.0:
                 s = float(s1) if abs(s1 - (s + h)) < 1e-14 * abs(s1 - s0) \
                     else s + h
@@ -1100,6 +1129,24 @@ def test_integrate_matches_reference_loop_on_an_overflowing_error():
     # rejected, down to the min_step stall
     _check_against_reference(lambda s, y: [1.5e308], [0.0], 0.0, 1.0,
                              IntegratorOptions())
+
+
+def test_integrate_matches_reference_loop_on_a_non_finite_fsal_stage():
+    # the first step passes its error test, but its 13th evaluation is NaN:
+    # the step is rejected with the 0.2 shrink, as for a failed stage
+    calls = []
+
+    def rhs(s, y):
+        if s == 0.0:  # the initial call of a run
+            calls.clear()
+        calls.append(s)
+        return [math.nan] if len(calls) == 13 else [1.0]
+
+    opts = IntegratorOptions(max_step=0.5)
+    _check_against_reference(rhs, [0.0], 0.0, 1.0, opts)
+    traj = integrate(rhs, [0.0], 0.0, 1.0, opts)
+    assert calls[12] == 0.5
+    assert traj.s[1] == 0.5 * 0.2
 
 
 # signed zeros and infinities, NaNs with a payload and with the sign bit,
