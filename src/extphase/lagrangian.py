@@ -125,9 +125,13 @@ def paired_hamiltonian(sys: LagrangianSystem) -> HamiltonianSystem:
     """Numerical Legendre transform of L: H(q, p, t) = p.qdot - L at
     the qdot solving p = dL/dqdot (damped Newton, seeded by p).
 
-    The residual's `numkit.residual_binder` belongs to H: at a float
-    (q, p, t) the solve runs on one kernel traced on the first such call
-    and kept as long as H (the Dual path if L does not trace).
+    At a float (q, p, t) the whole of H, the Newton solve included, runs on
+    one kernel traced at the float call after the first that returns, and
+    kept as long as H.  The calls before it, and a point whose solve takes
+    another path through Newton's tests, run the solve itself on the
+    residual's `numkit.residual_binder` kernel and get the Dual code's bits
+    or its error; a dual point runs the Dual code (and every point, if L
+    does not trace).
     """
     n = sys.n
 
@@ -139,10 +143,16 @@ def paired_hamiltonian(sys: LagrangianSystem) -> HamiltonianSystem:
 
     bind = numkit.residual_binder(residual, 2 * n + 1, n)
 
-    def H(q, p, t):
-        qdot = numkit.newton_solve(None, [value_of(pi) for pi in p],
-                                   bind([*q, *p, t]))
+    def h(x):
+        q, p, t = tuple(x[:n]), x[n:2 * n], x[2 * n]
+        qdot = numkit.newton_solve(None, [value_of(pi) for pi in p], bind(x))
         return sum(a * b for a, b in zip(p, qdot)) - sys.L(q, tuple(qdot), t)
+
+    kernel = numkit._trace_on_first_call(h, warm=True)
+
+    def H(q, p, t):
+        x = [*q, *p, t]
+        return kernel(x) if numkit._floats(x) else h(x)
 
     return HamiltonianSystem(n=n, H=H, description="Legendre pair")
 

@@ -483,7 +483,7 @@ def trace(fn, x):
     tape = []
     names = {"exp": math.exp, "sin": math.sin, "cos": math.cos,
              "sqrt": math.sqrt, "log": math.log, "float": float,
-             "_item": _item, "_GuardMiss": _GuardMiss}
+             "_item": _item, "_max_abs": _max_abs, "_GuardMiss": _GuardMiss}
 
     def ref(c):
         if isinstance(c, _Leaf):
@@ -559,17 +559,28 @@ def trace(fn, x):
     return names["kernel"]
 
 
-def _trace_on_first_call(fn):
+def _trace_on_first_call(fn, warm=False):
     """x -> fn(x), on the kernel that `trace` makes of fn at the first x
     and keeps; a first x at which fn raises keeps nothing, so the next call
     traces again.  Once traced, fn is held only by the kernel: by a guarded
-    one for its fallback, or as the kernel itself if the trace aborted."""
-    held = [fn, False]  # fn until traced, then the kernel; traced yet
+    one for its fallback, or as the kernel itself if the trace aborted.
+
+    With ``warm``, the calls run fn itself until one returns, and the next
+    call traces; a trace at an x where fn raises goes back to running fn
+    until one returns.  An owner called once, or only where fn raises,
+    then pays no trace, which suits a costly fn such as a Newton solve."""
+    held = [fn, False, not warm]  # fn, then the kernel; traced; trace next
 
     def call(x):
-        if not held[1]:
-            held[:] = trace(held[0], x), True
-        return held[0](x)
+        if held[1]:
+            return held[0](x)
+        if held[2]:
+            held[2] = not warm
+            held[:2] = trace(held[0], x), True
+            return held[0](x)
+        out = held[0](x)
+        held[2] = True
+        return out
 
     return call
 
@@ -598,6 +609,28 @@ def residual_binder(res, k, m):
     return bind
 
 
+def _max_abs(*values):
+    """The largest |v| of the floats values, 0.0 if there are none, and NaN
+    if any |v| is NaN (builtin `max` keeps a NaN only in first place).
+
+    Inside `trace` it is one kernel line that calls it again on the values
+    of the call, not one guard per comparison, so a kernel holds whichever
+    entry is the largest.
+    """
+    for v in values:
+        if isinstance(v, _Leaf):
+            return v._record("_max_abs(" + "{}, " * len(values) + ")",
+                             _max_abs, *values)
+    top = 0.0
+    for v in values:
+        a = abs(v)
+        if a > top:
+            top = a
+        elif a != a:
+            return a
+    return top
+
+
 def solve_linear(A, b, equilibrated=False):
     """Gaussian elimination with partial pivoting, generic over dual entries.
 
@@ -605,26 +638,34 @@ def solve_linear(A, b, equilibrated=False):
     With ``equilibrated``, the reference is the largest entry of the
     pivot's own row or of its own column of A, whichever is smaller, so
     that equations and unknowns of unlike scale do not make a regular
-    system look singular; the pivots and the result are the same.
+    system look singular; the pivots and the result are the same.  The
+    pivot is the first entry of largest magnitude in its column.  The
+    scales are `_max_abs` of the primal values, so a NaN entry makes them
+    NaN, and then only a zero pivot tests singular.  Inside `trace` the
+    scales are kernel lines, and each pivot choice and singular test is a
+    guard.
     """
     n = len(b)
     M = [list(row) + [bi] for row, bi in zip(A, b)]
-    top = max((abs(value_of(M[i][j])) for i in range(n) for j in range(n)),
-              default=0.0)
+    top = _max_abs(*[value_of(v) for row in A for v in row])
     if top == 0.0:
         raise DegeneracyError("singular linear system (zero matrix)")
 
-    def largest(entries):
-        return max(abs(value_of(v)) for v in entries)
-
     order = list(range(n))  # the row of A that each row of M came from
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(value_of(M[r][col])))
-        pivot = abs(value_of(M[piv][col]))
+        piv, pivot = col, abs(value_of(M[col][col]))
+        for r in range(col + 1, n):
+            mag = abs(value_of(M[r][col]))
+            if mag > pivot:
+                piv, pivot = r, mag
         # the row and column scales are at most top, so they are read only
-        # for a pivot that the test against top already finds singular
-        if pivot <= 1e-13 * top and (not equilibrated or pivot <= 1e-13 * min(
-                largest(A[order[piv]]), largest(row[col] for row in A))):
+        # for a pivot that the test against top already finds singular; a
+        # NaN top passes that test, and then only a zero pivot is singular
+        small = 1e-13 * top
+        if not pivot > small and (pivot == 0.0 or pivot <= small and (
+                not equilibrated or pivot <= 1e-13 * min(
+                    _max_abs(*map(value_of, A[order[piv]])),
+                    _max_abs(*[value_of(row[col]) for row in A])))):
             raise DegeneracyError("singular linear system")
         M[col], M[piv] = M[piv], M[col]
         order[col], order[piv] = order[piv], order[col]
@@ -669,18 +710,28 @@ def newton_solve(residual, x0, jacobian=None):
     runs off to a root at infinity, where one unknown dwarfs the others, is
     a failed solve, not a degenerate one.
 
+    The norms are `_max_abs` of the primal values, so a NaN entry makes them
+    NaN: an iterate whose residual is NaN, or a NaN polishing step, raises
+    :class:`ImplicitSolveError` and never gives a root.
+
     Each (r, J) comes from jacobian(x), by default
     ``jacobian_raw(residual, x)``; a `residual_binder` passes its own, and
     residual is then not read.  The line search evaluates (r, J) at each
     trial point and hands the accepted one to the next iteration, so no
     point is evaluated twice.
+
+    A float solve compiles whole when its caller traces it (`trace`): the
+    residual and Jacobian reads, the iterations, the line search, the
+    eliminations and both polishing steps become kernel lines, the norms
+    one line each, and every test of convergence, acceptance, pivot row and
+    singularity a guard.
     """
     if jacobian is None:
         def jacobian(x):
             return jacobian_raw(residual, x)
 
     def norm(r):
-        return max((abs(value_of(ri)) for ri in r), default=0.0)
+        return _max_abs(*map(value_of, r))
 
     x = list(x0)
     r, J = jacobian(x)
@@ -694,10 +745,14 @@ def newton_solve(residual, x0, jacobian=None):
                 dx = solve_linear(J, [-ri for ri in r])
                 x = [xi + di for xi, di in zip(x, dx)]
             step = norm(dx)
+            if step != step:
+                raise ImplicitSolveError("Newton polishing step is NaN")
             if step > _NEWTON_SETTLE * (1.0 + norm(x)):
                 raise DegeneracyError(
                     f"Newton polishing step {step:.3e} at a singular root")
             return x
+        if rn != rn:
+            raise ImplicitSolveError("Newton residual is NaN")
         dx = solve_linear(J, [-ri for ri in r], equilibrated=True)
         lam, full = 1.0, None
         for _ in range(8):

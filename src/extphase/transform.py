@@ -22,8 +22,10 @@ All value callables must use the generic arithmetic of
 :mod:`extphase.numkit` so the implicit transformation rules can be solved
 and differentiated by dual seeding, and must be pure functions of their
 arguments: at float arguments the derivatives run on one kernel traced
-once per F.  A `legendre_convert`-ed F at float arguments seeds nothing
-either: its derivatives are read off its joint root.
+once per F, and float applies after the first, the Newton solve included,
+on a second one.  A `legendre_convert`-ed F at float arguments seeds
+nothing either: its derivatives are read off its joint root, and it has no
+apply kernel.
 """
 
 from __future__ import annotations
@@ -77,6 +79,14 @@ class GeneratingFunction:
         called with: the kernel lives as long as F."""
         return numkit._trace_on_first_call(self._seeded)
 
+    @cached_property
+    def _apply_kernel(self):
+        """`_root` of F, the whole Newton solve included, on a kernel traced
+        at the float point after the first that returns: an F applied once,
+        or only where its solve fails, is never traced.  The kernel lives as
+        long as F."""
+        return numkit._trace_on_first_call(partial(_root, self), warm=True)
+
     def _seeded(self, params):
         # one nested seeding, the primed pair outside: the inner gradient's
         # value carries dF/d(primed), its entries the mixed Hessian's rows
@@ -99,6 +109,11 @@ class _Converted(GeneratingFunction):
     value."""
 
     _kernel: object = field(repr=False, compare=False)
+
+    def _apply_kernel(self, z):
+        # no trace: the derivatives call np.linalg.solve, which a kernel
+        # cannot replay
+        return _root(self, z)
 
 
 @dataclass(frozen=True)
@@ -161,6 +176,11 @@ def _image(primed, u, dP, s):
     return _point(primed, u, _flip(primed, [-g for g in dP]), s)
 
 
+def _check_n(F, pt):
+    if pt.n != F.n:
+        raise ValueError(f"dimension mismatch: point has n={pt.n}, F has n={F.n}")
+
+
 def _rule(F, pt):
     """The rule set of F's kind at pt, as (jacobian, start).
 
@@ -170,8 +190,7 @@ def _rule(F, pt):
     unprimed pair fills (y, b)); both come from `_derivatives`.  Damped
     Newton starts from the point's own primed pair.
     """
-    if pt.n != F.n:
-        raise ValueError(f"dimension mismatch: point has n={pt.n}, F has n={F.n}")
+    _check_n(F, pt)
     unprimed, primed, _ = _LAYOUT[F.kind]
     known, momenta = _pair(pt, unprimed), _momenta(pt, unprimed)
 
@@ -180,6 +199,20 @@ def _rule(F, pt):
         return [g - w for g, w in zip(dU, momenta)], hessian
 
     return jacobian, _pair(pt, primed)
+
+
+def _root(F, z):
+    """(u, dF/d(primed pair), mixed Hessian) at the root u of F's rule at
+    the flat point z = (q.., p.., t, e, s): the Newton solve, then one read
+    of F's derivatives at u."""
+    n = F.n
+    pt = ExtendedPoint(q=z[:n], p=z[n:2 * n], t=z[2 * n], e=z[2 * n + 1],
+                       s=z[2 * n + 2])
+    jacobian, start = _rule(F, pt)
+    u = numkit.newton_solve(None, start, jacobian)
+    _, dP, hessian = F._derivatives(
+        [*_pair(pt, _LAYOUT[F.kind][0]), *u, pt.s])
+    return u, dP, hessian
 
 
 def _det(hessian):
@@ -202,14 +235,16 @@ def _apply(F, pt):
 
     The unknowns are the image's primed pair, the root u of the rule
     residual; one read of F's derivatives at u gives the momenta conjugate
-    to it, -dF/d(primed), and the mixed Hessian.  Returns (image point,
-    resolved argument blocks (x, y, a, b), mixed Hessian at u).
+    to it, -dF/d(primed), and the mixed Hessian (`_root`).  At a float pt
+    they come from F's apply kernel.  Returns (image point, resolved
+    argument blocks (x, y, a, b), mixed Hessian at u).
     """
+    _check_n(F, pt)
     unprimed, primed, first = _LAYOUT[F.kind]
-    jacobian, start = _rule(F, pt)
-    u = numkit.newton_solve(None, start, jacobian)
+    z = [*pt.q, *pt.p, pt.t, pt.e, pt.s]
+    u, dP, hessian = F._apply_kernel(z) if numkit._floats(z) \
+        else _root(F, z)
     known = _pair(pt, unprimed)
-    _, dP, hessian = F._derivatives([*known, *u, pt.s])
     return _image(primed, u, dP, pt.s), _blocks(first, known, u), hessian
 
 
@@ -218,7 +253,15 @@ def apply_generating(F, pt):
 
     Implicit rules are solved by damped Newton from the point's own (p, e)
     or (q, t) block; the branch continuous from it is returned when multiple
-    solutions exist.
+    solutions exist.  At float points the first solve that returns runs
+    on F's derivative kernel, and the next is traced into the kernel F
+    keeps: the Newton iterations and F's derivatives in one straight-line
+    function, bit-identical to the Dual path.  A point whose solve takes
+    another path through Newton's tests (an iteration count, a pivot row,
+    a degenerate root) runs the solve itself, on F's derivative kernel, and
+    gets its bits or its error.  A `legendre_convert`-ed F has no apply
+    kernel: it solves on its joint roots.  The degeneracy check of the
+    mixed Hessian's determinant runs after the solve, on numpy.
     """
     image, _, hessian = _apply(F, pt)
     _solved_det(hessian)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from extphase import lagrangian, numkit, tdsystems
 from extphase.cli import (SCHEMAS, ScenarioConfig, _atomic_write, _csv_lines,
-                          _run_lagrangian_check, _run_oscillator,
+                          _run_lagrangian_check, _run_lorentz, _run_oscillator,
                           _run_potential, main, run, validate)
 
 
@@ -338,7 +338,9 @@ def test_oscillator_seeds_coefficients_once_per_sample(monkeypatch):
 
 
 def test_lagrangian_check_evaluates_paired_h_once_per_probe(monkeypatch):
-    # each paired.H evaluation is one Newton solve for the velocities
+    # each paired.H evaluation is one Newton solve for the velocities: the
+    # first probe's runs on floats, the second's over leaves, which traces
+    # the paired H's kernel, and the others run on that kernel
     solves = []
     newton_solve = numkit.newton_solve
 
@@ -353,7 +355,38 @@ def test_lagrangian_check_evaluates_paired_h_once_per_probe(monkeypatch):
     metrics, passed, _ = _run_lagrangian_check(
         cfg.params, random.Random(0), cfg.tolerances)
     assert passed
-    assert len(solves) == 5
+    assert [numkit._floats(x0) for x0 in solves] == [True, False]
+
+
+@pytest.mark.parametrize("scenario, runner, solve", [
+    ("lorentz", _run_lorentz, "_root"),
+    ("lagrangian-check", _run_lagrangian_check, "h"),
+])
+def test_scenario_kernels_take_no_guard_fallback(monkeypatch, scenario,
+                                                 runner, solve):
+    # the Newton solves of lorentz (the boost's applies) and lagrangian-check
+    # (the paired H) run on whole-solve kernels: once traced, a fn runs
+    # only inside its kernel, never on floats for a failed guard or an
+    # aborted trace
+    traced, fallbacks = [], []
+    on_first_call = numkit._trace_on_first_call
+
+    def recorded(fn, warm=False):
+        def counted(x):
+            if not numkit._floats(x):
+                traced.append(fn)
+            elif fn in traced:
+                fallbacks.append(fn)
+            return fn(x)
+        return on_first_call(counted, warm)
+
+    monkeypatch.setattr(numkit, "_trace_on_first_call", recorded)
+    cfg, errors = validate({"scenario": scenario, "params": {"count": 8}})
+    assert not errors
+    _, passed, _ = runner(cfg.params, random.Random(0), cfg.tolerances)
+    assert passed
+    assert solve in {getattr(fn, "func", fn).__name__ for fn in traced}
+    assert fallbacks == []
 
 
 def test_lagrangian_check_fails_on_wrong_time_momentum(tmp_path, capsys,

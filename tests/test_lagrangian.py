@@ -105,34 +105,86 @@ _momentum = st.floats(min_value=0.6, max_value=2.0) | st.floats(
 
 
 @given(st.lists(_unit, min_size=3, max_size=3),
+       st.lists(_momentum, min_size=2, max_size=2),
+       st.lists(_unit, min_size=3, max_size=3),
        st.lists(_momentum, min_size=2, max_size=2))
 @settings(max_examples=50, deadline=None)
-def test_paired_hamiltonian_kernels_match_dual_path(qt, p):
-    # the float solve runs on kernels traced from the residual: no seeding
-    # after the trace's own, and the same bits as the Dual path
+def test_paired_hamiltonian_kernels_match_dual_path(qt, p, qt2, p2):
+    # the first float call solves on the residual's kernel, which it
+    # traces, and the second traces H's kernel, the Newton solve included:
+    # the Dual path's bits, and no seeding after the traces.  At another
+    # draw, the Dual path's bits too, on H's kernel or, if that draw's
+    # Newton path crosses a guard, on the residual's.  Both kernels are
+    # freed with H
     sys = quartic()
     q, p, t = tuple(qt[:2]), tuple(p), qt[2]
-    calls = []
-    jacobian_raw = numkit.jacobian_raw
+    q2, p2, t2 = tuple(qt2[:2]), tuple(p2), qt2[2]
+    calls, traced = [], []
+    jacobian_raw, trace = numkit.jacobian_raw, numkit.trace
 
     def counted(fvec, x):
         calls.append(x)
         return jacobian_raw(fvec, x)
 
-    numkit.jacobian_raw = counted
+    def recorded(fn, x):
+        kernel = trace(fn, x)
+        traced.append(weakref.ref(kernel))
+        return kernel
+
+    numkit.jacobian_raw, numkit.trace = counted, recorded
     try:
         want = dual_path_h(sys, q, p, t)
         ref_calls = len(calls)
-        H = paired_hamiltonian(sys).H
-        H(q, p, t)
+        paired = paired_hamiltonian(sys)
+        first = paired.H(q, p, t)
+        paired.H(q, p, t)
         del calls[:]
-        got = H(q, p, t)
+        got = paired.H(q, p, t)
+        after_trace = len(calls)
+        other = paired.H(q2, p2, t2)
     finally:
-        numkit.jacobian_raw = jacobian_raw
+        numkit.jacobian_raw, numkit.trace = jacobian_raw, trace
     # two or more iterations, the converged check and two polishing steps
     assert ref_calls >= 5
-    assert calls == []
-    assert value_of(got).hex() == value_of(want).hex()
+    assert after_trace == 0
+    assert value_of(first).hex() == value_of(got).hex() \
+        == value_of(want).hex()
+    assert value_of(other).hex() == value_of(dual_path_h(sys, q2, p2,
+                                                         t2)).hex()
+    assert [ref().__name__ for ref in traced] == ["kernel", "kernel"]
+    del paired
+    gc.collect()
+    assert all(ref() is None for ref in traced)
+
+
+def test_paired_hamiltonian_off_the_traced_path_seeds_nothing(monkeypatch):
+    # H's kernel traced at q = 0, t = 0; at another (q, t) the quartic L's
+    # Newton path crosses one of its guards, and the call runs the solve
+    # itself on the residual's kernel: the Dual path's bits, with no seeding
+    sys = quartic()
+    solves, calls = [], []
+    newton_solve, jacobian_raw = numkit.newton_solve, numkit.jacobian_raw
+
+    def counted_solve(residual, x0, *jacobian):
+        solves.append(numkit._floats(x0))
+        return newton_solve(residual, x0, *jacobian)
+
+    def counted_jacobian(fvec, x):
+        calls.append(x)
+        return jacobian_raw(fvec, x)
+
+    monkeypatch.setattr(numkit, "newton_solve", counted_solve)
+    monkeypatch.setattr(numkit, "jacobian_raw", counted_jacobian)
+    H = paired_hamiltonian(sys).H
+    for _ in range(2):
+        H((0.0, 0.0), (0.6, 0.6), 0.0)
+    assert solves == [True, False]
+    for p in [(0.6, 0.6), (2.0, -2.0), (-0.7, 1.5)]:
+        del solves[:], calls[:]
+        got = H((0.3, -0.2), p, 0.5)
+        assert (solves, calls) == ([True], [])
+        assert value_of(got).hex() \
+            == value_of(dual_path_h(sys, (0.3, -0.2), p, 0.5)).hex()
 
 
 def test_paired_hamiltonian_keeps_dual_path_at_dual_points():

@@ -214,6 +214,66 @@ def test_newton_solve_evaluates_no_point_twice():
     assert len(points) == len(set(points))
 
 
+def _nan_second_component(v):
+    # inf - inf: the second residual is NaN at every v[1] != 2, and so is
+    # its Jacobian entry, while the first converges at once
+    big = (v[1] - 2.0) * 1e300 * 1e300
+    return [v[0] - 1.0, big - big]
+
+
+@pytest.mark.parametrize("x0", [
+    [1.0, 3.0],
+    [Dual(1.0, (1.0, 0.0)), Dual(3.0, (0.0, 1.0))],
+], ids=["float", "dual"])
+def test_newton_solve_never_returns_a_nan_root(x0):
+    # max() skips a NaN that is not first, so the residual norm read as
+    # converged and the NaN polishing step was returned as the root
+    with pytest.raises(ImplicitSolveError, match="NaN"):
+        newton_solve(_nan_second_component, x0)
+
+
+def test_newton_solve_nan_polishing_step_raises():
+    # a converged float residual whose Jacobian is NaN: the polishing step
+    # is NaN, not a root
+    def jacobian(v):
+        return [v[0] - 1.0], [[math.nan]]
+
+    with pytest.raises(ImplicitSolveError, match="polishing step is NaN"):
+        newton_solve(None, [1.0], jacobian)
+
+
+def test_solve_linear_zero_pivot_beside_a_nan_is_singular():
+    # a NaN entry makes the largest entry NaN, which no pivot test compares
+    # below; an exactly zero pivot is singular still, not a division by zero
+    with pytest.raises(DegeneracyError, match="singular"):
+        solve_linear([[0.0, 0.0], [0.0, math.nan]], [1.0, 1.0])
+
+    # the same Jacobian from a finite, unconverged Newton residual
+    def residual(v):
+        big = (v[1] - 2.0) * 1e300 * 1e300
+        return [1.0 + 0.0 * v[0], big - big]
+
+    with pytest.raises(DegeneracyError, match="singular"):
+        newton_solve(residual, [0.0, 2.0])
+
+
+def test_max_abs_is_one_kernel_line():
+    # a NaN anywhere makes the norm NaN, and in a kernel the norm is one
+    # line that calls _max_abs again, not a guard on which entry is largest
+    assert numkit._max_abs() == 0.0
+    assert numkit._max_abs(-0.0, 2.0, -3.0) == 3.0
+    for values in ([1.0, math.nan], [math.nan, 1.0], [math.inf, math.nan]):
+        assert math.isnan(numkit._max_abs(*values))
+
+    def fn(x):
+        return [numkit._max_abs(*x)]
+
+    kernel = trace(fn, [3.0, -1.0, 2.0])
+    assert "_fn" not in kernel.__globals__
+    for x in ([1.0, -5.0, 2.0], [0.0, 0.0, -0.0], [1.0, math.nan, 2.0]):
+        assert kernel(x)[0].hex() == fn(x)[0].hex()
+
+
 def test_quad_fixed_exact_for_smooth_integrand():
     got = quad_fixed(lambda t: cos(t), 0.0, 1.5)
     assert value_of(got) == pytest.approx(math.sin(1.5), abs=1e-14)
@@ -936,6 +996,44 @@ def test_traced_kernels_hold_fn_only_for_a_fallback():
             del call
             gc.collect()
             assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_warm_trace_waits_for_a_call_that_returns():
+    # with warm, fn runs itself until a call returns, and the next call
+    # traces; a trace at a point where fn raises (over leaves, then fn's own
+    # error on floats) goes back to running fn until a call returns.  Once
+    # traced, an unguarded kernel holds no reference to fn
+    runs = []
+
+    def fn(x):
+        runs.append(numkit._floats(x))
+        if x[0] < 0.0:
+            raise DegeneracyError("negative")
+        return [x[0] * x[1]]
+
+    call = numkit._trace_on_first_call(fn, warm=True)
+    bad, good = [-1.0, 2.0], [2.0, 3.0]
+    for x, want in [(bad, [True]), (bad, [True]), (good, [True]),
+                    (bad, [False, True]), (bad, [True]), (good, [True]),
+                    (good, [False]), (bad, [True]), (good, [])]:
+        del runs[:]
+        assert _outcome(call, x) == _outcome(lambda y: fn(list(y)), x)
+        del runs[-1]  # the reference call
+        assert runs == want
+
+    def product(x):
+        return grad_raw(lambda v: v[0] * v[1], x)
+
+    gc.disable()
+    try:
+        call = numkit._trace_on_first_call(product, warm=True)
+        for _ in range(2):
+            call([2.0, 3.0])
+        ref = weakref.ref(product)
+        del product
+        assert ref() is None
     finally:
         gc.enable()
 

@@ -395,9 +395,17 @@ def test_repeat_float_apply_runs_on_cached_kernels(jacobian_calls):
                                     n=F.n)
     for G in (F, unhashable):
         jacobian_calls.clear()
-        # the first float apply traces G's kernel: one seeding, over leaves
+        # the first float apply runs the solve on G's derivative kernel,
+        # which it traces: one seeding, over leaves
         assert _image_hexes(apply_generating(G, BOOST_PT)) == BOOST_IMAGE
         assert len(jacobian_calls) == 1
+        jacobian_calls.clear()
+        # the second traces G's apply kernel, the whole Newton solve over
+        # leaves: it reads G's derivatives at the start, at the one trial
+        # step (the boost is linear), at the second polishing step and at
+        # the root, four seedings over leaves
+        assert _image_hexes(apply_generating(G, BOOST_PT)) == BOOST_IMAGE
+        assert len(jacobian_calls) == 4
         jacobian_calls.clear()
         assert _image_hexes(apply_generating(G, BOOST_PT)) == BOOST_IMAGE
         assert jacobian_calls == []
@@ -405,21 +413,23 @@ def test_repeat_float_apply_runs_on_cached_kernels(jacobian_calls):
 
 def test_dual_points_and_untraceable_fs_keep_dual_path(jacobian_calls):
     F = lorentz_generating(Boost(beta=(0.6, 0.2, 0.0)))
-    apply_generating(F, BOOST_PT)
+    for _ in range(2):  # the second float apply traces F's apply kernel
+        apply_generating(F, BOOST_PT)
     jacobian_calls.clear()
     # the map Jacobian seeds the point: one seeding for the map, and the
     # inner solve at the dual point seeds F's derivatives (the whole
     # triple) at each of its two iterations, at its second polishing step
     # (the first reuses the converged iterate's) and once at the root, for
-    # the image; the float solve runs on F's kernel
+    # the image; the float solve runs on F's apply kernel
     rep = restriction_report(F, BOOST_PT)
     assert len(jacobian_calls) == 5
     assert (rep.hessian_det.hex(), rep.liouville_det.hex()) \
         == ('-0x1.0000000000000p+0', '0x1.0000000000002p+0')
     assert (rep.time_global, rep.spacetime_split, rep.subspace_liouville,
             rep.preserves_H1) == (False, False, False, True)
-    # a value that takes float() of s: no kernel, so 5 seedings of F's
-    # derivatives: one over leaves in the aborted trace, then the Dual
+    # a first float apply runs the solve itself, and traces no apply
+    # kernel.  A value that takes float() of s: no kernel, so 5 seedings of
+    # F's derivatives: one over leaves in the aborted trace, then the Dual
     # path's at both Newton iterations, at the second polishing step and
     # once at the root, for the image and the degeneracy check.  The
     # time-scaling F's quadrature compiles: its finiteness test and panel
@@ -459,6 +469,150 @@ def test_rule_kernels_are_freed_with_f():
     del F
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+# ---------------------------------------------------------------------------
+# the apply kernel: F's whole float Newton solve, traced once per F
+# ---------------------------------------------------------------------------
+
+_beta = st.floats(min_value=-0.55, max_value=0.55, allow_nan=False)
+
+
+@st.composite
+def _boost_points(draw):
+    vals = draw(st.lists(_unit, min_size=8, max_size=8))
+    return ExtendedPoint(q=tuple(vals[:3]), p=tuple(vals[3:6]), t=vals[6],
+                         e=vals[7] + 2.0)
+
+
+@given(st.tuples(_beta, _beta, _beta), st.floats(min_value=0.5, max_value=3.0),
+       _boost_points(), _boost_points())
+@settings(max_examples=30, deadline=None)
+def test_apply_kernel_matches_dual_path(beta, c, first, pt):
+    # traced at one draw (the second float apply) and called at another,
+    # the apply kernel gives the Dual path's bits and seeds nothing: a
+    # boost's rule is linear, so every point takes the traced path through
+    # Newton's tests
+    F = lorentz_generating(Boost(beta=beta, c=c))
+    for _ in range(2):
+        apply_generating(F, first)
+    calls = []
+    jacobian_raw = numkit.jacobian_raw
+
+    def counted(fvec, x):
+        calls.append(x)
+        return jacobian_raw(fvec, x)
+
+    numkit.jacobian_raw = counted
+    try:
+        got = _outcome(apply_generating, F, pt)
+    finally:
+        numkit.jacobian_raw = jacobian_raw
+    assert calls == []
+    assert got == _outcome(apply_generating, _dual_path(F), pt)
+
+
+def _pivot_f2():
+    """F2 = q p' - t e' + q p'^2 + t p': the rule p = p' + p'^2 is solved
+    by Newton, with the mixed Hessian [[1 + 2 p', 0], [1, -1]], whose first
+    pivot is row 0 where |1 + 2 p'| > 1 and row 1 where it is below 1; at
+    p = -1/4 the root p' = -1/2 is double."""
+    def value(q, pp, t, ep, s):
+        return q[0] * pp[0] - t * ep + q[0] * pp[0] ** 2 + t * pp[0]
+
+    return GeneratingFunction(kind="F2", value=value, n=1)
+
+
+@pytest.mark.parametrize("p, degenerate", [
+    (3.0, False),  # more iterations than the traced point's
+    (-0.16, False),  # the root -0.2 takes pivot row 1
+    (-0.25, True),  # a double root
+])
+def test_apply_kernel_across_a_guard_runs_the_dual_path(monkeypatch, p,
+                                                        degenerate):
+    # traced at p = 0.75, whose iterates all take pivot row 0, by the
+    # second float apply; a point whose Newton path differs fails a guard,
+    # and the call runs the solve itself: the Dual path's bits, or its error
+    solves = []
+    newton_solve = numkit.newton_solve
+
+    def counted(residual, x0, *jacobian):
+        solves.append(numkit._floats(x0))
+        return newton_solve(residual, x0, *jacobian)
+
+    monkeypatch.setattr(numkit, "newton_solve", counted)
+    F = _pivot_f2()
+    traced = ExtendedPoint(q=(0.3,), p=(0.75,), t=0.2, e=1.1)
+    assert _outcome(apply_generating, F, traced) \
+        == _outcome(apply_generating, _dual_path(F), traced)
+    solves.clear()
+    apply_generating(F, traced)
+    assert solves == [False]
+    solves.clear()
+    apply_generating(F, traced)
+    assert solves == []
+    pt = ExtendedPoint(q=(0.3,), p=(p,), t=0.2, e=1.1)
+    got = _outcome(apply_generating, F, pt)
+    assert solves == [True]
+    assert got == _outcome(apply_generating, _dual_path(F), pt)
+    assert (got[0] == "DegeneracyError") == degenerate
+
+
+def test_one_shot_and_failing_applies_trace_no_apply_kernel(monkeypatch):
+    # an F applied once, or only where its solve fails, traces no apply
+    # kernel: its solves run on F's derivative kernel.  An apply that
+    # returns makes the next one trace; if that one fails, the applies run
+    # the solve again until one returns
+    traced = []
+    trace = numkit.trace
+
+    def recorded(fn, x):
+        traced.append(getattr(fn, "func", None) is transform._root)
+        return trace(fn, x)
+
+    monkeypatch.setattr(numkit, "trace", recorded)
+    apply_generating(lorentz_generating(Boost(beta=(0.6, 0.2, 0.0))), BOOST_PT)
+    assert traced == [False]  # the derivative kernel
+    F = _pivot_f2()
+    # p = p' + p'^2 has no root at p = -1
+    nowhere = ExtendedPoint(q=(0.3,), p=(-1.0,), t=0.2, e=1.1)
+    regular = ExtendedPoint(q=(0.3,), p=(0.75,), t=0.2, e=1.1)
+    failed = _outcome(apply_generating, _dual_path(F), nowhere)
+    assert failed[0] in ("ImplicitSolveError", "DegeneracyError")
+    for pt, traces in [(nowhere, 0), (nowhere, 0), (regular, 0),
+                       (nowhere, 1), (nowhere, 0), (regular, 0),
+                       (regular, 1), (nowhere, 0)]:
+        del traced[:]
+        got = _outcome(apply_generating, F, pt)
+        assert traced.count(True) == traces
+        assert got == (failed if pt is nowhere else _outcome(
+            apply_generating, _dual_path(F), pt))
+
+
+def test_apply_kernel_is_freed_with_f(monkeypatch):
+    # the apply kernel is guarded, so it holds F's solve for the fallback,
+    # and that holds F: a cycle that the garbage collector frees.  Each F
+    # traces its derivative kernel at the first apply, its apply kernel at
+    # the second
+    traced = []
+    trace = numkit.trace
+
+    def recorded(fn, x):
+        kernel = trace(fn, x)
+        traced.append(weakref.ref(kernel))
+        return kernel
+
+    monkeypatch.setattr(numkit, "trace", recorded)
+    refs = []
+    for i in range(10):
+        F = lorentz_generating(Boost(beta=(0.05 * i + 0.01, 0.2, 0.0)))
+        for _ in range(2):
+            apply_generating(F, BOOST_PT)
+        refs.append(weakref.ref(F))
+    del F
+    gc.collect()
+    assert len(traced) == 20
+    assert all(ref() is None for ref in refs + traced)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +807,8 @@ def test_converted_apply_solves_once_per_value(monkeypatch):
     # derivatives off its root (the rule at both Newton iterations and at
     # the second polishing step, and once at the root for the image and
     # the degeneracy check), with no dual polish: 1 + 4.  The F2 itself
-    # makes 1
+    # makes 1.  No apply kernel is traced: the converted F's derivatives
+    # call np.linalg.solve, which a kernel cannot replay
     solves = []
     newton_solve = numkit.newton_solve
 
@@ -661,11 +816,21 @@ def test_converted_apply_solves_once_per_value(monkeypatch):
         solves.append(x0)
         return newton_solve(residual, x0, *jacobian)
 
+    traced = []
+    trace = numkit.trace
+
+    def recorded(fn, x):
+        traced.append(fn)
+        return trace(fn, x)
+
     F = lorentz_generating(Boost(beta=(0.6, 0.2, 0.0)))
     G = legendre_convert(F, "F3")
     monkeypatch.setattr(numkit, "newton_solve", counted)
+    monkeypatch.setattr(numkit, "trace", recorded)
     img = apply_generating(G, BOOST_PT)
     assert len(solves) == 5
+    assert traced and not any(getattr(fn, "func", None) is transform._root
+                              for fn in traced)
     assert [value_of(v) for v in (*img.q, *img.p, img.t, img.e)] \
         == pytest.approx([float.fromhex(h) for h in BOOST_IMAGE], abs=1e-12)
 
