@@ -33,9 +33,8 @@ class TimeScaleSpec:
 
     @cached_property
     def _ks_derivatives(self):
-        """`_ks_seeded` under this time scale, on the kernel traced at the
-        first point it is called with: the kernel lives as long as the
-        spec."""
+        """`_ks_seeded` under this time scale, on its kernel
+        (`numkit._trace_on_first_call`)."""
         return numkit._trace_on_first_call(partial(_ks_seeded, self))
 
 
@@ -256,13 +255,12 @@ def ks_symplectic_residual(u, pu, tprime=0.0,
     absolute pairing defect over an orthonormal tangent basis.
 
     The map's Jacobian M (as `phase.map_jacobian` gives it) and the
-    constraint's gradient run on one kernel that spec keeps, traced at the
-    first point.  Its guards are the collision test of `ks_map`, the
-    quadrature's finiteness test and panel count, and the xi checks; where
-    one fails, the call runs the Dual code, so u = 0 raises
-    `CollisionChartError` and a non-positive xi `DomainEvaluationError`
-    as they do there.  Under the unit xi every t' of |t'| < 0.5 shares the
-    kernel's guards.
+    constraint's gradient run on spec's kernel of `_ks_seeded`.  Its guards
+    are the collision test of `ks_map`, the quadrature's finiteness test
+    and panel count, and the xi checks; where one fails, the call runs the
+    Dual code, so u = 0 raises `CollisionChartError` and a non-positive xi
+    `DomainEvaluationError` as they do there.  Under the unit xi every t'
+    of |t'| < 0.5 shares the kernel's guards.
     """
     eprime = 0.0
     rows, dC = spec._ks_derivatives(

@@ -178,8 +178,9 @@ def validate(obj):
             else:
                 filled[name] = default
         if scenario == "lorentz" and not errors:
-            b2 = filled["beta_x"] ** 2 + filled["beta_y"] ** 2 \
-                + filled["beta_z"] ** 2
+            # x * x overflows to inf, where x ** 2 raises OverflowError
+            b2 = sum(filled[k] * filled[k]
+                     for k in ("beta_x", "beta_y", "beta_z"))
             if b2 >= 1.0:
                 errors.append("beta must satisfy |beta| < 1")
         for vec_key in ("q0", "p0"):

@@ -24,10 +24,10 @@ from .phase import HamiltonianSystem
 class LagrangianSystem:
     """A conventional Lagrangian L(q, qdot, t) of dimension n.
 
-    At float points, L1 and L1's full gradient come from one kernel that
-    the system keeps, traced from `_l1_seeded` at the first such point.
-    The dt/ds = 0 test of `extended_lagrangian` is one of its guards, so
-    there the kernel runs the Dual code, which raises `DegenerateTimeError`.
+    At float points, L1 and L1's full gradient run on the system's kernel
+    of `_l1_seeded`.  The dt/ds = 0 test of `extended_lagrangian` is one of
+    its guards, so there the kernel runs the Dual code, which raises
+    `DegenerateTimeError`.
     """
 
     n: int
@@ -38,8 +38,8 @@ class LagrangianSystem:
 
     @cached_property
     def _l1_kernel(self):
-        """`_l1_seeded` of this system on the kernel traced at the first
-        point it is called with: the kernel lives as long as the system."""
+        """`_l1_seeded` of this system on its kernel
+        (`numkit._trace_on_first_call`)."""
         return numkit._trace_on_first_call(partial(_l1_seeded, self))
 
 
@@ -126,12 +126,10 @@ def paired_hamiltonian(sys: LagrangianSystem) -> HamiltonianSystem:
     the qdot solving p = dL/dqdot (damped Newton, seeded by p).
 
     At a float (q, p, t) the whole of H, the Newton solve included, runs on
-    one kernel traced at the float call after the first that returns, and
-    kept as long as H.  The calls before it, and a point whose solve takes
-    another path through Newton's tests, run the solve itself on the
-    residual's `numkit.residual_binder` kernel and get the Dual code's bits
-    or its error; a dual point runs the Dual code (and every point, if L
-    does not trace).
+    a warm kernel (`numkit._trace_on_first_call`).  A point whose solve
+    takes another path through Newton's tests runs the solve itself, on the
+    residual's `numkit.residual_binder` kernel, and gets the Dual code's
+    bits or its error; a dual point runs the Dual code.
     """
     n = sys.n
 
@@ -141,7 +139,7 @@ def paired_hamiltonian(sys: LagrangianSystem) -> HamiltonianSystem:
         _, g = numkit.grad_raw(lambda u: sys.L(q, tuple(u), t), list(v))
         return [gi - pi for gi, pi in zip(g, x[n:2 * n])]
 
-    bind = numkit.residual_binder(residual, 2 * n + 1, n)
+    bind = numkit.residual_binder(residual, 2 * n + 1)
 
     def h(x):
         q, p, t = tuple(x[:n]), x[n:2 * n], x[2 * n]

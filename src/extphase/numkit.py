@@ -465,13 +465,11 @@ def trace(fn, x):
     given, so its results are bit-identical to fn's.  A kernel with guards
     runs its lines inside one ``try``: a guard that fails, or any
     exception, makes that call return fn's own result or raise fn's own
-    error; such a kernel holds fn, so an owner that keeps it and that fn
-    refers to is freed by the cyclic collector only.  A kernel without
-    guards holds no reference to fn and is the straight-line code alone,
-    and a float operation that raises in fn (ZeroDivisionError,
-    OverflowError) raises in it.  A tape of more than ``_TRACE_CHUNK``
-    lines runs as a chain of functions of that many lines, each compiled on
-    its own, which bounds the compiler's transient memory.
+    error.  A kernel without guards is the straight-line code alone, and a
+    float operation that raises in fn (ZeroDivisionError, OverflowError)
+    raises in it.  Each ``_TRACE_CHUNK`` lines of the tape after the first
+    are a function compiled on its own, which bounds the compiler's
+    transient memory.
 
     If fn raises at x, trace raises that error.  The trace aborts, and
     gives fn back, on ``float()`` or ``bool()`` of a leaf, on a
@@ -524,24 +522,23 @@ def trace(fn, x):
         # error came from a leaf (such as a numpy ufunc of one)
         fn(x)
         return fn
-    if len(tape) <= _TRACE_CHUNK:
-        body = [line(*entry) for entry in tape]
-    else:
-        # chunk k becomes the function _ck, compiled on its own: it takes
-        # the names it reads from earlier lines and returns those read later
-        body, later = [], returned
-        for k in reversed(range(0, len(tape), _TRACE_CHUNK)):
-            chunk = tape[k:k + _TRACE_CHUNK]
-            made = {out for out, _, _ in chunk if out}
-            reads = {a.name for _, _, args in chunk for a in args
-                     if isinstance(a, _Leaf)} - made
-            ins = ", ".join(sorted(reads))
-            outs = "(" + "".join(f"{v}, " for v in sorted(made & later)) + ")"
-            src = [f"def _c{k}({ins}):", *("    " + line(*e) for e in chunk),
-                   f"    return {outs}"]
-            exec(compile("\n".join(src), "<trace>", "exec"), names)
-            body.insert(0, f"{outs} = _c{k}({ins})")
-            later = (later - made) | reads
+    # the first chunk runs inline; each later chunk k becomes the function
+    # _ck, compiled on its own: it takes the names it reads from earlier
+    # lines and returns those read later
+    body, later = [], returned
+    for k in reversed(range(_TRACE_CHUNK, len(tape), _TRACE_CHUNK)):
+        chunk = tape[k:k + _TRACE_CHUNK]
+        made = {out for out, _, _ in chunk if out}
+        reads = {a.name for _, _, args in chunk for a in args
+                 if isinstance(a, _Leaf)} - made
+        ins = ", ".join(sorted(reads))
+        outs = "(" + "".join(f"{v}, " for v in sorted(made & later)) + ")"
+        src = [f"def _c{k}({ins}):", *("    " + line(*e) for e in chunk),
+               f"    return {outs}"]
+        exec(compile("\n".join(src), "<trace>", "exec"), names)
+        body.insert(0, f"{outs} = _c{k}({ins})")
+        later = (later - made) | reads
+    body[:0] = [line(*entry) for entry in tape[:_TRACE_CHUNK]]
     body.append(f"return {ret}")
     lines = ["def kernel(x):",
              "    (" + "".join(f"{v.name}, " for v in leaves) + ") = x"]
@@ -560,15 +557,27 @@ def trace(fn, x):
 
 
 def _trace_on_first_call(fn, warm=False):
-    """x -> fn(x), on the kernel that `trace` makes of fn at the first x
-    and keeps; a first x at which fn raises keeps nothing, so the next call
-    traces again.  Once traced, fn is held only by the kernel: by a guarded
-    one for its fallback, or as the kernel itself if the trace aborted.
+    """x -> fn(x), on a kernel that `trace` makes of fn: the package's one
+    maker and keeper of kernels, and the one statement of their lifecycle.
 
-    With ``warm``, the calls run fn itself until one returns, and the next
-    call traces; a trace at an x where fn raises goes back to running fn
-    until one returns.  An owner called once, or only where fn raises,
-    then pays no trace, which suits a costly fn such as a Newton solve."""
+    Cold (the default), the first call traces at its x.  Warm, the calls
+    run fn itself until one returns, and the next call traces.  A trace at
+    an x where fn raises keeps nothing, and the calls go on as before it.
+
+    Warm spares an owner called once, or only where fn raises, a trace,
+    which suits a costly fn such as a Newton solve.  Cold gives an owner
+    built once and called once per repetition the same work in each
+    repetition after the first: under warm, the L1 kernel of each
+    `LagrangianSystem` of the benchmark's `canonical-maps` operations
+    traces in the second pass, not the first, and the traced passes'
+    counts differ (``numkit.grad_raw.calls`` 27, then 19).
+
+    The kernel lives as long as the returned function, which its owner
+    keeps.  Once traced, fn is held only by the kernel: by a guarded kernel
+    for its fallback, or as the kernel itself if the trace aborted; a
+    kernel without guards holds no reference to fn.  An owner that keeps a
+    guarded kernel, and that fn refers to, is thus freed by the cyclic
+    collector only."""
     held = [fn, False, not warm]  # fn, then the kernel; traced; trace next
 
     def call(x):
@@ -585,17 +594,15 @@ def _trace_on_first_call(fn, warm=False):
     return call
 
 
-def residual_binder(res, k, m):
+def residual_binder(res, k):
     """bind(params) -> jacobian for `newton_solve`: u -> (res(params, u),
-    its Jacobian in u), by `jacobian_raw`, for a residual res of m unknowns
-    u with k parameters.
+    its Jacobian in u), by `jacobian_raw`, for a residual res of unknowns u
+    with k parameters.
 
-    At all-float params it runs on one kernel traced over the flat
-    (params.., u..) of the first such call and kept in the binder, so it
-    lives as long as the binder does; the unknowns must then be floats too.
-    A trace that aborts leaves the Dual code in its place, as `trace` does.
-    Dual params keep the Dual code.  res must be a pure function of its
-    arguments.
+    At all-float params it runs on the binder's kernel of the flat
+    (params.., u..) (`_trace_on_first_call`); the unknowns must then be
+    floats too.  Dual params keep the Dual code.  res must be a pure
+    function of its arguments.
     """
     def jacobian(x):
         return jacobian_raw(lambda u: res(x[:k], u), x[k:])
@@ -783,18 +790,20 @@ def quad_fixed(f, a, b):
 
     Fixed nodes (no adaptivity) keep the result a smooth, dual-differentiable
     function of the endpoints; accuracy is machine-level for the smooth
-    integrands used here.  An interval whose length is not finite (an
-    endpoint at inf or nan) raises :class:`DomainEvaluationError`.  Inside
-    `trace` the finiteness test and the panel count are guards, so a
-    kernel holds for every interval of the traced one's panel count.
+    integrands used here.  An interval whose doubled length is not finite
+    (an endpoint at inf or nan, or a length over about 9e307) raises
+    :class:`DomainEvaluationError`.  Inside `trace` the finiteness test and
+    the panel count are guards, so a kernel holds for every interval of the
+    traced one's panel count.
     """
-    span = abs(value_of(b) - value_of(a))
+    span2 = 2.0 * abs(value_of(b) - value_of(a))
     # a comparison, which a trace records as a guard; NaN fails it too
-    if not span < math.inf:
+    if not span2 < math.inf:
         raise DomainEvaluationError(
-            f"non-finite quadrature interval [{value_of(a)}, {value_of(b)}]")
+            f"quadrature interval [{value_of(a)}, {value_of(b)}] is not "
+            "finite or too long")
     nodes, weights = _gauss_legendre_10()
-    panels = max(4, min(64, int(2.0 * span) + 4))
+    panels = max(4, min(64, int(span2) + 4))
     width = (b - a) / panels
     half = width * 0.5
     total = 0.0

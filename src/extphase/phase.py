@@ -104,8 +104,7 @@ def _h_grad(sys, n):
 def extended_rhs(pt, k, sys, grad=None):
     """Right-hand side of the extended canonical equations at one point,
     in the trajectory's state order (dq.., dp.., dt, de).  grad, when
-    given, takes the place of ``grad_raw`` of H at the flat (q.., p.., t);
-    `propagate` passes a kernel traced from it."""
+    given, takes the place of ``grad_raw`` of H at the flat (q.., p.., t)."""
     n = pt.n
     _, g = (grad or _h_grad(sys, n))([*pt.q, *pt.p, pt.t])
     for gi in g:
@@ -134,21 +133,17 @@ def propagate(pt0, sys, par, s_span, opts=None):
 
     The trajectory state is (q.., p.., t, e); extended_value is constant
     along it, and on-shell starts stay on-shell to integration tolerance.
-    The H-gradient is a kernel traced from `grad_raw` at the first
-    right-hand side's state (the Dual path when H does not trace).  Each
-    right-hand side reads its state once, so k and the kernel see Python
-    floats.
+    Each right-hand side reads its state once as Python floats, and the
+    H-gradient runs on a kernel of `grad_raw`
+    (`numkit._trace_on_first_call`).
     """
     n = pt0.n
     s0, s1 = s_span
-    grad, kernel = _h_grad(sys, n), []
+    grad = numkit._trace_on_first_call(_h_grad(sys, n))
 
     def rhs(s, y):
-        x = y.tolist()
-        pt = state_to_point(x, n, s=s)
-        if not kernel:
-            kernel.append(numkit.trace(grad, x[:2 * n + 1]))
-        return extended_rhs(pt, par.k(s, pt), sys, kernel[0])
+        pt = state_to_point(y.tolist(), n, s=s)
+        return extended_rhs(pt, par.k(s, pt), sys, grad)
 
     return numkit.integrate(rhs, point_to_state(pt0), s0, s1, opts,
                             labels=trajectory_labels(n))

@@ -212,10 +212,9 @@ def oscillator_coupled_run(spec: OscillatorSpec, q0, p0, xi0: XiState,
     dtprime/dt = 1/xi.  This closes the auxiliary equation jointly with the
     canonical equations, which is the only way its coefficients are defined.
     Each right-hand side reads its state once as Python floats and makes one
-    call of a kernel traced, at the first right-hand side's state, from the
-    Dual code of the H-gradient, the coefficients and the auxiliary equation
-    (that code itself when it does not trace), which returns the
-    coefficients and every derivative but dtprime/dt.
+    call of a kernel (`numkit._trace_on_first_call`) of the Dual code of the
+    H-gradient, the coefficients and the auxiliary equation, which returns
+    the coefficients and every derivative but dtprime/dt.
     """
     n = spec.n
     sys = spec.system()
@@ -229,16 +228,14 @@ def oscillator_coupled_run(spec: OscillatorSpec, q0, p0, xi0: XiState,
         return c, g[n:2 * n] + [-gi for gi in g[:n]] + [g[2 * n]] \
             + _xi_derivatives(c, *x[2 * n + 1:])
 
-    kernel = []
+    kernel = numkit._trace_on_first_call(flow)
 
     def rhs(t, y):
         x = y.tolist()
         xi = x[2 * n + 1]
         x[2 * n] = t
         del x[-1]
-        if not kernel:
-            kernel.append(numkit.trace(flow, x))
-        c, dy = kernel[0](x)
+        c, dy = kernel(x)
         w2, dw2, _, f, fd, fdd = c
         if not all(map(math.isfinite, (w2, dw2, f, fd, fdd))):
             raise DomainEvaluationError("oscillator coefficients not finite")
@@ -287,11 +284,10 @@ def transfer_matrix(spec: PotentialSpec, q0, p0, t_span, opts=None):
     three solutions and the rows their 0th/1st/2nd derivatives.  State
     layout: (q.., p.., e, Xi row-major).  At every time,
     Xi^T (e, -q.p/2, q^2/4) equals the initial triple.  Each right-hand
-    side reads its state once as Python floats; V's derivatives are a
-    kernel traced from `PotentialSpec.derivatives` at the first right-hand
-    side's state (that method itself when V does not trace).  The companion
-    product stays a numpy matrix product, whose rounding the trajectory
-    keeps.
+    side reads its state once as Python floats; V's derivatives run on a
+    kernel of `PotentialSpec.derivatives` (`numkit._trace_on_first_call`).
+    The companion product stays a numpy matrix product, whose rounding the
+    trajectory keeps.
     """
     n = spec.n
     e0 = _initial_energy(spec.system(), q0, p0, t_span[0])
@@ -299,15 +295,12 @@ def transfer_matrix(spec: PotentialSpec, q0, p0, t_span, opts=None):
     def derivatives(x):
         return spec.derivatives(x[:n], x[n])
 
-    kernel = []
+    kernel = numkit._trace_on_first_call(derivatives)
 
     def rhs(t, y):
         x = y.tolist()
         q = x[:n]
-        qt = q + [t]
-        if not kernel:
-            kernel.append(numkit.trace(derivatives, qt))
-        V, grad = kernel[0](qt)
+        V, grad = kernel(q + [t])
         dXi = xi_general_rhs(q, V, grad) @ y[2 * n + 1:].reshape(3, 3)
         return x[n:2 * n] + [-g for g in grad[:n]] + [grad[n]] \
             + dXi.ravel().tolist()

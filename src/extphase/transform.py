@@ -75,16 +75,13 @@ class GeneratingFunction:
 
     @cached_property
     def _kernel(self):
-        """`_seeded` on the kernel traced at the first float params it is
-        called with: the kernel lives as long as F."""
+        """`_seeded` on F's kernel (`numkit._trace_on_first_call`)."""
         return numkit._trace_on_first_call(self._seeded)
 
     @cached_property
     def _apply_kernel(self):
-        """`_root` of F, the whole Newton solve included, on a kernel traced
-        at the float point after the first that returns: an F applied once,
-        or only where its solve fails, is never traced.  The kernel lives as
-        long as F."""
+        """`_root` of F, the whole Newton solve included, on a warm kernel
+        (`numkit._trace_on_first_call`)."""
         return numkit._trace_on_first_call(partial(_root, self), warm=True)
 
     def _seeded(self, params):
@@ -253,15 +250,14 @@ def apply_generating(F, pt):
 
     Implicit rules are solved by damped Newton from the point's own (p, e)
     or (q, t) block; the branch continuous from it is returned when multiple
-    solutions exist.  At float points the first solve that returns runs
-    on F's derivative kernel, and the next is traced into the kernel F
-    keeps: the Newton iterations and F's derivatives in one straight-line
-    function, bit-identical to the Dual path.  A point whose solve takes
-    another path through Newton's tests (an iteration count, a pivot row,
-    a degenerate root) runs the solve itself, on F's derivative kernel, and
-    gets its bits or its error.  A `legendre_convert`-ed F has no apply
-    kernel: it solves on its joint roots.  The degeneracy check of the
-    mixed Hessian's determinant runs after the solve, on numpy.
+    solutions exist.  At float points the solve, the Newton iterations and
+    F's derivatives together, runs on F's apply kernel, bit-identical to the
+    Dual path.  A point whose solve takes another path through Newton's
+    tests (an iteration count, a pivot row, a degenerate root) runs the
+    solve itself, on F's derivative kernel, and gets its bits or its error.
+    A `legendre_convert`-ed F has no apply kernel: it solves on its joint
+    roots.  The degeneracy check of the mixed Hessian's determinant runs
+    after the solve, on numpy.
     """
     image, _, hessian = _apply(F, pt)
     _solved_det(hessian)
@@ -355,7 +351,7 @@ def legendre_convert(F, target_kind):
         return [g - c for g, c in zip(dU, _momenta(src, f_unprimed))] \
             + [g - c for g, c in zip(got, want)]
 
-    bind = numkit.residual_binder(joint, 2 * m + 1, 2 * m)
+    bind = numkit.residual_binder(joint, 2 * m + 1)
 
     def solve(params):
         # the joint root: a float solve on the binder's kernel at the primal

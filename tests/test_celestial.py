@@ -63,14 +63,20 @@ def test_timescale_rejects_nonpositive_xi():
         apply_generating(F, ExtendedPoint(q=(1.0,), p=(0.0,), t=1.0, e=0.5))
 
 
-@pytest.mark.parametrize("t", [math.inf, math.nan])
+@pytest.mark.parametrize("t", [math.inf, math.nan, 1e308])
 def test_timescale_rejects_nonfinite_time(t):
-    # the quadrature up to t = inf or nan has no finite panel count: a
-    # typed error, not the bare OverflowError or ValueError of int()
+    # the quadrature up to t = inf or nan, or over a finite interval whose
+    # doubled length overflows, has no finite panel count: a typed error,
+    # not the bare OverflowError or ValueError of int()
     F = timescale_generating(TimeScaleSpec(xi=lambda t: 1.0 + t * t))
     pt = ExtendedPoint(q=(1.4,), p=(-0.3,), t=t, e=0.7)
     with pytest.raises(DomainEvaluationError):
         apply_generating(F, pt)
+    with pytest.raises(DomainEvaluationError):
+        numkit.quad_fixed(lambda x: 1.0, 0.0, t)
+    with pytest.raises(DomainEvaluationError):
+        timescale_generating(TimeScaleSpec(xi=lambda t: 1.0)).value(
+            (1.0,), (1.0,), t, 1.0, 0.0)
 
 
 def test_direct_integration_stalls_at_collision():

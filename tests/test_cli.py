@@ -52,6 +52,18 @@ def test_validate_rejects_superluminal_beta():
     assert any("beta" in e for e in errors)
 
 
+@pytest.mark.parametrize("key", ["beta_x", "beta_y", "beta_z"])
+@pytest.mark.parametrize("value", [1e200, -1e200])
+def test_validate_rejects_huge_beta(tmp_path, capsys, key, value):
+    # |beta|^2 overflows to inf, which fails |beta| < 1 like beta = 2
+    config = {"scenario": "lorentz", "params": {key: value}}
+    _, errors = validate(config)
+    assert errors == ["beta must satisfy |beta| < 1"]
+    path = write_config(tmp_path / "cfg.json", config)
+    assert main(["validate", path]) == 2
+    assert "beta" in capsys.readouterr().err
+
+
 def test_validate_vector_lengths():
     _, errors = validate({"scenario": "oscillator",
                           "params": {"n": 2, "q0": [1.0]}})
@@ -361,13 +373,15 @@ def test_lagrangian_check_evaluates_paired_h_once_per_probe(monkeypatch):
 @pytest.mark.parametrize("scenario, runner, solve", [
     ("lorentz", _run_lorentz, "_root"),
     ("lagrangian-check", _run_lagrangian_check, "h"),
+    ("oscillator", _run_oscillator, "flow"),
+    ("potential", _run_potential, "derivatives"),
 ])
 def test_scenario_kernels_take_no_guard_fallback(monkeypatch, scenario,
                                                  runner, solve):
     # the Newton solves of lorentz (the boost's applies) and lagrangian-check
-    # (the paired H) run on whole-solve kernels: once traced, a fn runs
-    # only inside its kernel, never on floats for a failed guard or an
-    # aborted trace
+    # (the paired H), and the right-hand sides of oscillator and potential,
+    # run on kernels: once traced, a fn runs only inside its kernel, never
+    # on floats for a failed guard or an aborted trace
     traced, fallbacks = [], []
     on_first_call = numkit._trace_on_first_call
 
@@ -381,7 +395,9 @@ def test_scenario_kernels_take_no_guard_fallback(monkeypatch, scenario,
         return on_first_call(counted, warm)
 
     monkeypatch.setattr(numkit, "_trace_on_first_call", recorded)
-    cfg, errors = validate({"scenario": scenario, "params": {"count": 8}})
+    params = {"t_end": 5.0} if scenario in ("oscillator", "potential") \
+        else {"count": 8}
+    cfg, errors = validate({"scenario": scenario, "params": params})
     assert not errors
     _, passed, _ = runner(cfg.params, random.Random(0), cfg.tolerances)
     assert passed
